@@ -41,9 +41,9 @@ struct Setup {
   }
 };
 
-/// One timed set-up: solver, service and device construction, the fixed
-/// warm-up (one-shot) or the cache warm fill (service_mix). Throws when a
-/// set-up request fails.
+/// One timed set-up: the library's lazy statics, solver, service and
+/// device construction and, on service_mix, the cache warm fill. Throws
+/// when a warm-fill request fails.
 Setup set_up(const Context& ctx);
 
 /// One checked output per distinct (request state, device, circuit).
@@ -73,6 +73,7 @@ struct Phase {
   std::vector<Completed> completed;
   std::vector<TracedRequest> traced;
   double wall_s = 0.0;
+  /// Peak resident memory when spec.min_requests requests had completed.
   double peak_rss_mb = 0.0;
   qsp::EquivalenceCacheStats cache_before;
   qsp::EquivalenceCacheStats cache_after;

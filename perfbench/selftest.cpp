@@ -1,7 +1,8 @@
 // Self-tests of the benchmark itself (not of the library): the generator
-// is pure, the tail rule keeps ten samples beyond its percentile, derived
-// queue wait is never negative, and a traced run emits every per-layer
-// metric, non-zero wherever the workload runs its layer.
+// is pure and its first-seen classes are new, the tail rule keeps ten
+// samples beyond its percentile, derived queue wait is never negative, a
+// traced run emits every per-layer metric, non-zero wherever the workload
+// runs its layer, and tracing leaves every output unchanged.
 //
 //   python3 perfbench/run.py --selftest
 
@@ -11,10 +12,13 @@
 #include <future>
 #include <map>
 #include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "circuit/dataflow.hpp"
+#include "core/canonical.hpp"
+#include "core/slot_state.hpp"
 #include "runner.hpp"
 
 namespace perfbench {
@@ -35,6 +39,30 @@ TEST(Generator, SameSeedGivesTheSameRequestList) {
     EXPECT_NE(request_list_digest(a.requests), request_list_digest(c.requests))
         << workload_name(w);
   }
+}
+
+TEST(Generator, FirstSeenClassesAreNewAndDistinct) {
+  const WorkloadInputs inputs = generate_inputs(Workload::kServiceMix, 1);
+  std::set<qsp::CanonicalKey> classes;
+  std::size_t first_seen = 0;
+  for (const Request& r : inputs.requests) {
+    if (!r.first_seen) continue;
+    ++first_seen;
+    const auto slot = qsp::SlotState::from_state(r.state);
+    ASSERT_TRUE(slot.has_value()) << r.label;
+    // Slot totals outside those of the warm fill (at most 6) and of the
+    // dense classes (10, 20).
+    EXPECT_GE(slot->total(), 7u) << r.label;
+    EXPECT_NE(slot->total(), 10u) << r.label;
+    EXPECT_TRUE(
+        classes.insert(qsp::canonical_key(*slot, qsp::CanonicalLevel::kPU2Exact))
+            .second)
+        << r.label;
+  }
+  EXPECT_EQ(first_seen, inputs.requests.size() * 3 / 200);
+  for (const Request& r : inputs.setup) EXPECT_FALSE(r.first_seen);
+  EXPECT_TRUE(generate_inputs(Workload::kSparse, 1).setup.empty());
+  EXPECT_TRUE(generate_inputs(Workload::kDense, 1).setup.empty());
 }
 
 TEST(TailRule, KeepsTenSamplesBeyondThePercentile) {
@@ -120,14 +148,18 @@ TEST(PerLayer, EveryMetricIsEmittedAndNonZeroWhereItsLayerRuns) {
         "core.beam_fallbacks", "core.arena_bytes_peak", "flow.prepare_self_ms",
         "flow.exact_attempts", "prep.mflow_ms", "prep.nflow_ms",
         "circuit.pipeline_ms", "circuit.lower_count_ms"}},
+      // service.inflight_waits is left out: whether two requests of one
+      // class overlap in flight depends on thread timing.
       {Workload::kServiceMix,
        300,
-       {"core.search_ms", "core.astar_searches", "core.nodes_generated",
-        "flow.exact_attempts", "circuit.pipeline_ms",
-        "circuit.dataflow_lint_ms",
-        "arch.route_ms", "service.queue_wait_ms", "service.worker_busy_share",
-        "service.cache_hit_rate", "service.cache_probe_us",
-        "service.qasm_admit_ms", "service.cache_bytes"}},
+       {"core.search_ms", "core.beam_ms", "core.astar_searches",
+        "core.nodes_generated", "core.optimal_share", "core.beam_fallbacks",
+        "flow.prepare_self_ms", "flow.exact_attempts", "circuit.pipeline_ms",
+        "circuit.dataflow_lint_ms", "arch.route_ms", "service.queue_wait_ms",
+        "service.worker_busy_share", "service.cache_hit_rate",
+        "service.rewired_hit_share", "service.cache_insertions",
+        "service.cache_probe_us", "service.qasm_admit_ms",
+        "service.cache_bytes"}},
   };
   const std::vector<Metric>& catalog = per_layer_metric_catalog();
   for (const LayerCase& c : cases) {
@@ -153,7 +185,40 @@ TEST(PerLayer, EveryMetricIsEmittedAndNonZeroWhereItsLayerRuns) {
       EXPECT_GT(values.at(name), 0.0)
           << name << " on " << workload_name(c.workload);
     }
+    if (c.workload == Workload::kServiceMix) {
+      // Every first-seen request misses the warm cache, and some of them
+      // certify and write it.
+      const FirstSeenCounts fs =
+          first_seen_counts(ctx.inputs.requests, phase.traced);
+      EXPECT_GT(fs.requests, 0u);
+      EXPECT_EQ(fs.misses, fs.requests);
+      EXPECT_GT(fs.writes, 0u);
+    }
   }
+}
+
+TEST(Trace, BeamRunByTheRecorderLeavesOutputsUnchanged) {
+  // The traced loop answers beam probes itself; the outputs must be the
+  // ones the untraced loop produces.
+  Context ctx = make_context(Workload::kDense, 1);
+  ctx.spec.min_requests = 12;
+  const perfbench::Setup setup = set_up(ctx);
+  OutputStore plain_store;
+  OutputStore traced_store;
+  const Phase plain = run_phase(ctx, setup, 0.0, false, plain_store);
+  const Phase traced = run_phase(ctx, setup, 0.0, true, traced_store);
+  ASSERT_EQ(plain.completed.size(), traced.completed.size());
+  std::size_t beams = 0;
+  for (std::size_t i = 0; i < plain.completed.size(); ++i) {
+    EXPECT_EQ(plain.completed[i].output_key, traced.completed[i].output_key)
+        << "request " << i;
+  }
+  for (const TracedRequest& t : traced.traced) {
+    for (const SearchRecord& rec : t.recorder->searches()) {
+      beams += rec.consult_only ? 1 : 0;
+    }
+  }
+  EXPECT_GT(beams, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <sstream>
+#include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
@@ -11,6 +13,7 @@
 #include "circuit/dataflow.hpp"
 #include "circuit/lowering.hpp"
 #include "circuit/pass_pipeline.hpp"
+#include "core/beam.hpp"
 #include "core/canonical.hpp"
 #include "core/heuristic.hpp"
 #include "core/moves.hpp"
@@ -28,8 +31,41 @@ double now_s() {
   return std::chrono::duration<double>(Clock::now() - epoch).count();
 }
 
-RequestRecorder::RequestRecorder(std::shared_ptr<qsp::SearchCache> delegate)
-    : delegate_(std::move(delegate)) {}
+namespace {
+
+/// The coupling graph a search runs against, rebuilt from the tail of its
+/// cache fingerprint: "none" for all-to-all, else the graph's
+/// CouplingGraph::fingerprint() ("n<qubits>:" and then "<a>-<b>;" per
+/// edge), which names the graph's routed-cost surface exactly.
+std::shared_ptr<const qsp::CouplingGraph> fingerprint_coupling(
+    const std::string& id) {
+  const std::string graph = id.substr(id.rfind('|') + 1);
+  if (graph == "none") return nullptr;
+  const auto fail = [&] {
+    return std::runtime_error("unrecognized cache fingerprint: " + id);
+  };
+  std::istringstream in(graph);
+  char n = 0, colon = 0;
+  int qubits = 0;
+  if (!(in >> n >> qubits >> colon) || n != 'n' || colon != ':') throw fail();
+  std::vector<std::pair<int, int>> edges;
+  int a = 0, b = 0;
+  char dash = 0, semicolon = 0;
+  while (in >> a >> dash >> b >> semicolon) {
+    if (dash != '-' || semicolon != ';') throw fail();
+    edges.emplace_back(a, b);
+  }
+  if (!in.eof()) throw fail();
+  return std::make_shared<const qsp::CouplingGraph>(qubits, std::move(edges));
+}
+
+}  // namespace
+
+RequestRecorder::RequestRecorder(std::shared_ptr<qsp::SearchCache> delegate,
+                                 qsp::BeamOptions beam)
+    : delegate_(std::move(delegate)), beam_(std::move(beam)) {
+  beam_.cache = nullptr;
+}
 
 void RequestRecorder::close_open_spans(double at_s) {
   for (SearchRecord& rec : searches_) {
@@ -60,7 +96,20 @@ qsp::SearchCache::Lookup RequestRecorder::begin(
   if (lookup.claim == Claim::kHit) {
     rec.end_s = rec.probe_end_s;
     rec.ended = true;
-  } else if (!consult_only) {
+  } else if (consult_only) {
+    // The beam fallback: run the descent the caller is about to run and
+    // hand it back as the probe's answer. The beam is deterministic, so
+    // the caller returns the same result it would have computed, and
+    // its time is measured where it is spent.
+    qsp::BeamOptions options = beam_;
+    options.coupling = fingerprint_coupling(fp.id);
+    const qsp::BeamSynthesizer beam(options);
+    rec.beam_start_s = now_s();
+    lookup.result = beam.synthesize(target);
+    rec.end_s = now_s();
+    rec.ended = true;
+    lookup.claim = Claim::kHit;
+  } else {
     rec.target = target;
   }
   searches_.push_back(std::move(rec));
@@ -98,7 +147,8 @@ void append_spans(const TracedRequest& traced, std::vector<Span>& out) {
                    rec.probe_start_s, rec.probe_end_s, root, traced.seq});
     if (rec.claim == Claim::kHit) continue;
     out.push_back({rec.consult_only ? "exact.beam" : "exact.astar",
-                   rec.probe_end_s, rec.end_s, root, traced.seq});
+                   rec.consult_only ? rec.beam_start_s : rec.probe_end_s,
+                   rec.end_s, root, traced.seq});
   }
 }
 
@@ -236,15 +286,15 @@ qsp::MFlowReduction reduce_to_thresholds(const qsp::QuantumState& state,
       options.mflow);
 }
 
-/// The circuit Solver::prepare hands to route_circuit for a device
-/// request that fits the exact thresholds or takes the sparse path: the
-/// exact tail, after the m-flow reduction on the sparse path.
+/// The circuit Solver::prepare (src/flow/solver.cpp) hands to
+/// route_circuit for a device request that fits the exact thresholds
+/// (its exact tail) or takes the sparse path (the exact tail of the
+/// m-flow reduction, followed by the reduction's inverse).
 qsp::Circuit unrouted_workflow_circuit(const qsp::Solver& solver,
-                                       const qsp::QuantumState& state) {
+                                       const qsp::QuantumState& state,
+                                       bool fits) {
   const qsp::WorkflowOptions& options = solver.options();
-  if (fits_exact_thresholds(state, options)) {
-    return solver.prepare_via_exact_tail(state);
-  }
+  if (fits) return solver.prepare_via_exact_tail(state);
   const qsp::MFlowReduction reduction = reduce_to_thresholds(state, options);
   qsp::Circuit circuit = solver.prepare_via_exact_tail(reduction.reduced);
   qsp::Circuit forward(state.num_qubits());
@@ -277,7 +327,7 @@ void replay_request(const LayerInputs& in, const TracedRequest& traced,
   const qsp::QuantumState& state = request.state;
   const int n = state.num_qubits();
   const bool fits = fits_exact_thresholds(state, options);
-  const bool sparse = is_sparse_path(state);
+  const bool sparse = traced.sparse_path;
   ++costs.requests;
 
   if (!fits) {
@@ -345,7 +395,8 @@ void replay_request(const LayerInputs& in, const TracedRequest& traced,
 
   if (request.on_device && (fits || sparse)) {
     const qsp::Solver solver(options);
-    const qsp::Circuit unrouted = unrouted_workflow_circuit(solver, state);
+    const qsp::Circuit unrouted =
+        unrouted_workflow_circuit(solver, state, fits);
     t0 = now_s();
     const qsp::Circuit routed = qsp::route_circuit(unrouted, *in.device);
     costs.route_s += now_s() - t0;
@@ -379,13 +430,15 @@ std::vector<Metric> per_layer_metrics(const LayerInputs& in) {
       children += probe;
       if (!rec.consult_only) attempts += 1.0;
       if (rec.claim == Claim::kHit) continue;
-      const double span = rec.end_s - rec.probe_end_s;
-      children += span;
       if (rec.consult_only) {
+        const double span = rec.end_s - rec.beam_start_s;
+        children += span;
         beam_s += span;
         beams += 1.0;
         continue;
       }
+      const double span = rec.end_s - rec.probe_end_s;
+      children += span;
       astar_s += span;
       astar_searches += 1.0;
       if (rec.target.has_value()) kernel_targets.push_back(&rec);
@@ -497,6 +550,29 @@ std::vector<Metric> per_layer_metrics(const LayerInputs& in) {
   std::vector<Metric> metrics = per_layer_metric_catalog();
   for (Metric& m : metrics) m.value = v.count(m.name) != 0 ? v[m.name] : 0.0;
   return metrics;
+}
+
+FirstSeenCounts first_seen_counts(const std::vector<Request>& requests,
+                                  const std::vector<TracedRequest>& traced) {
+  FirstSeenCounts counts;
+  for (const TracedRequest& t : traced) {
+    if (t.recorder == nullptr) continue;
+    bool missed = false;
+    std::size_t writes = 0;
+    for (const SearchRecord& rec : t.recorder->searches()) {
+      if (rec.consult_only || rec.claim == Claim::kHit) continue;
+      missed = true;
+      writes += rec.claim == Claim::kOwner && rec.ended && rec.optimal;
+    }
+    if (!requests[t.index].first_seen) {
+      counts.other_writes += writes;
+      continue;
+    }
+    ++counts.requests;
+    counts.misses += missed ? 1 : 0;
+    counts.writes += writes > 0 ? 1 : 0;
+  }
+  return counts;
 }
 
 }  // namespace perfbench

@@ -7,9 +7,14 @@
 // it, so it sees each search begin and (for certifying searchers) end,
 // with the search's SearchStats. On one-shot workloads it claims
 // ownership and stores nothing, leaving the search path unchanged; on
-// service_mix it delegates to the service's shared cache. Layers the
-// recorder cannot see (prep, circuit, arch) are measured by replaying
-// their public functions on the request's own inputs after the run.
+// service_mix it delegates to the service's shared cache. The beam
+// fallback only probes (consult-only) and never hands a claim back, so
+// the recorder answers a consult-only miss by running that same
+// deterministic descent itself (BeamSynthesizer with the request's beam
+// options) and timing it; the caller gets the result it would have
+// computed. Layers the recorder cannot see (prep, circuit, arch) are
+// measured by replaying their public functions on the request's own
+// inputs after the run.
 
 #include <cstdint>
 #include <memory>
@@ -17,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/beam.hpp"
 #include "core/search_cache.hpp"
 #include "flow/solver.hpp"
 #include "service/equivalence_cache.hpp"
@@ -34,13 +40,18 @@ struct SearchRecord {
   qsp::SearchCache::Claim claim = qsp::SearchCache::Claim::kIndependent;
   double probe_start_s = 0.0;
   double probe_end_s = 0.0;
-  /// A*: the end() hand-back. Beam: the request's next traced event (the
-  /// beam never calls end()), so its span is an upper bound.
+  /// Beam: the descent the recorder ran, from beam_start_s to end_s.
+  double beam_start_s = 0.0;
+  /// A*: the end() hand-back. An A* that runs on an independent claim
+  /// never hands back; its span ends at the request's next probe (the
+  /// beam fallback that follows a failed search) or, failing that, at the
+  /// request's end.
   double end_s = 0.0;
   bool ended = false;
   bool optimal = false;
   qsp::SearchStats stats;
-  /// The searched state and canonical level, kept for kernel replays.
+  /// The searched state and canonical level of an A*, kept for the kernel
+  /// replays.
   std::optional<qsp::SlotState> target;
   qsp::CanonicalLevel level = qsp::CanonicalLevel::kPU2Exact;
 };
@@ -48,8 +59,10 @@ struct SearchRecord {
 class RequestRecorder final : public qsp::SearchCache {
  public:
   /// `delegate` == nullptr: one-shot mode (claim ownership, store
-  /// nothing).
-  explicit RequestRecorder(std::shared_ptr<qsp::SearchCache> delegate);
+  /// nothing). `beam`: the request's WorkflowOptions::exact.beam; the
+  /// coupling of each descent comes from its probe's fingerprint.
+  RequestRecorder(std::shared_ptr<qsp::SearchCache> delegate,
+                  qsp::BeamOptions beam);
 
   Lookup begin(const qsp::SlotState& target,
                const qsp::CanonicalWitness& witness,
@@ -59,15 +72,16 @@ class RequestRecorder final : public qsp::SearchCache {
            const qsp::CacheFingerprint& fp,
            const qsp::SynthesisResult* result) override;
 
-  /// End every still-open search span (beam, or an A* whose claim was
-  /// never handed back) at `at_s`. begin() calls it for the next probe;
-  /// the caller calls it once more at the request's end.
+  /// End every still-open A* span (one whose claim was never handed back)
+  /// at `at_s`. begin() calls it for the next probe; the caller calls it
+  /// once more at the request's end.
   void close_open_spans(double at_s);
 
   const std::vector<SearchRecord>& searches() const { return searches_; }
 
  private:
   std::shared_ptr<qsp::SearchCache> delegate_;
+  qsp::BeamOptions beam_;
   // One request runs on one thread at a time, so no locking: the
   // request's future hands the records to the reader.
   std::vector<SearchRecord> searches_;
@@ -141,5 +155,19 @@ struct LayerInputs {
 /// Every metric of per_layer_metric_catalog(), from the traced requests
 /// plus replays; 0 where the workload does not run the layer.
 std::vector<Metric> per_layer_metrics(const LayerInputs& inputs);
+
+/// How the first-seen requests of a traced service_mix phase met the
+/// shared cache: requests sent, requests whose exact-tail search found no
+/// entry (an owner or independent claim instead of a hit), and requests
+/// whose owned search certified, which the cache stores; plus the cache
+/// writes of all other requests.
+struct FirstSeenCounts {
+  std::size_t requests = 0;
+  std::size_t misses = 0;
+  std::size_t writes = 0;
+  std::size_t other_writes = 0;
+};
+FirstSeenCounts first_seen_counts(const std::vector<Request>& requests,
+                                  const std::vector<TracedRequest>& traced);
 
 }  // namespace perfbench

@@ -4,7 +4,10 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <numeric>
+#include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "circuit/qasm.hpp"
@@ -105,18 +108,6 @@ WorkloadInputs sparse_inputs(std::uint64_t seed) {
     }
   }
   shuffle_blocks(inputs.requests, per_width.size(), rng);
-
-  // Warm-up: a fixed sample of the workload's request kinds, so lazy
-  // set-up and allocator growth happen before timing, whatever the seed.
-  Rng fixed(20240101);
-  for (int n = kSparseMinWidth; n <= kSparseMaxWidth; ++n) {
-    inputs.setup.push_back(
-        make_request(qsp::make_ghz(n), family_label("ghz", n)));
-    inputs.setup.push_back(make_request(qsp::make_w(n), family_label("w", n)));
-    inputs.setup.push_back(make_request(
-        qsp::make_random_uniform(n, sparse_max_cardinality(n), fixed),
-        width_label("rand", n, sparse_max_cardinality(n))));
-  }
   return inputs;
 }
 
@@ -178,21 +169,6 @@ WorkloadInputs dense_inputs(std::uint64_t seed) {
     }
   }
   shuffle_blocks(inputs.requests, kDenseBlock, rng);
-
-  // Warm-up: two Dicke states and two fixed Table-V states. The n = 8
-  // one (generator seed 8) has the largest search footprint seen on
-  // n = 8 marginals, so the process reaches its working-set size in
-  // set-up rather than whenever a seed happens to draw such a state.
-  for (const auto& [n, k] : {std::pair{4, 2}, std::pair{6, 3}}) {
-    inputs.setup.push_back(
-        make_request(qsp::make_dicke(n, k), width_label("dicke", n, k)));
-  }
-  for (const auto& [n, generator_seed] : {std::pair{6, 6}, std::pair{8, 8}}) {
-    Rng fixed(static_cast<std::uint64_t>(generator_seed));
-    const int m = 1 << (n - 1);
-    inputs.setup.push_back(make_request(qsp::make_random_uniform(n, m, fixed),
-                                        width_label("rand", n, m)));
-  }
   return inputs;
 }
 
@@ -206,15 +182,64 @@ WorkloadInputs dense_inputs(std::uint64_t seed) {
 
 constexpr int kServiceRandomEntries = 10;
 constexpr int kVariantsPerEntry = 4;
-// Every block of 200 requests holds exactly 3 dense (1.5%), 6 first-seen
-// (3%) and 20 QASM-fronted (10%) requests, and equal device and
+// Every block of 200 requests holds exactly 3 dense (1.5%), 3 first-seen
+// (1.5%) and 20 QASM-fronted (10%) requests, and equal device and
 // all-to-all halves of the catalogue draws, so the expensive shares do not
-// vary with the seed.
-constexpr std::size_t kServiceBlocks = 120;
+// vary with the seed. 400 blocks are 80000 requests: a 30-s run ends
+// before the list cycles, which would turn first-seen requests into
+// repeats, below 2600 requests/s (about 1.6 times the fastest run seen).
+constexpr std::size_t kServiceBlocks = 400;
 constexpr std::size_t kServiceBlock = 200;
 constexpr std::size_t kDensePerBlock = 3;
-constexpr std::size_t kFirstSeenPerBlock = 6;
+constexpr std::size_t kFirstSeenPerBlock = 3;
 constexpr std::size_t kQasmPerBlock = 20;
+
+// First-seen states are four-qubit states with weighted slots: 3..4
+// distinct basis states with counts 1..4 (gcd 1) and a slot total of 7..13
+// other than 10. Every catalogue state has a slot total of at most 6, the
+// dense classes have 10 and 20, and the searches the workflow runs keep
+// the total (m-flow merges add counts), so no first-seen class is one the
+// warm fill or a dense request put in flight. Draws also skip every class
+// an earlier first-seen draw took: each one is a cache miss when it is
+// first sent, and a cache write when its search certifies.
+constexpr int kFirstSeenQubits = 4;
+constexpr std::uint64_t kFirstSeenMinTotal = 7;
+constexpr std::uint64_t kFirstSeenMaxTotal = 13;
+constexpr std::uint64_t kDenseClassTotal = 10;
+constexpr int kFirstSeenAttempts = 1'000'000;
+
+using ClassSet = std::unordered_set<qsp::CanonicalKey, qsp::CanonicalKeyHash>;
+
+QuantumState first_seen_state(Rng& rng, ClassSet& taken) {
+  for (int attempt = 0; attempt < kFirstSeenAttempts; ++attempt) {
+    const auto m = static_cast<std::size_t>(3 + rng.next_below(2));
+    const std::vector<std::uint64_t> indices =
+        rng.sample_distinct(BasisIndex{1} << kFirstSeenQubits, m);
+    std::vector<qsp::SlotEntry> entries;
+    std::uint64_t total = 0;
+    std::uint64_t divisor = 0;
+    for (const std::uint64_t index : indices) {
+      const auto count = static_cast<std::uint32_t>(1 + rng.next_below(4));
+      entries.push_back(
+          qsp::SlotEntry{static_cast<BasisIndex>(index), count});
+      total += count;
+      divisor = std::gcd(divisor, std::uint64_t{count});
+    }
+    if (divisor != 1 || total < kFirstSeenMinTotal ||
+        total > kFirstSeenMaxTotal || total == kDenseClassTotal) {
+      continue;
+    }
+    const qsp::SlotState slot(kFirstSeenQubits, std::move(entries));
+    // A separable state has no core, so it never reaches the cache.
+    if (qsp::compress_free(slot).is_ground()) continue;
+    if (!taken.insert(qsp::canonical_key(slot, qsp::CanonicalLevel::kPU2Exact))
+             .second) {
+      continue;
+    }
+    return slot.to_state();
+  }
+  throw std::runtime_error("service_mix: first-seen class space exhausted");
+}
 
 QuantumState mapped_state(const QuantumState& state, BasisIndex mask,
                           const std::vector<int>* perm) {
@@ -298,6 +323,7 @@ WorkloadInputs service_mix_inputs(std::uint64_t seed) {
     warm.on_device = true;
     inputs.setup.push_back(std::move(warm));
   }
+  ClassSet first_seen_classes;
   for (std::size_t b = 0; b < kServiceBlocks; ++b) {
     std::vector<Request> block;
     for (std::size_t j = 0; j < kDensePerBlock; ++j) {
@@ -308,11 +334,12 @@ WorkloadInputs service_mix_inputs(std::uint64_t seed) {
       block.push_back(std::move(request));
     }
     for (std::size_t j = 0; j < kFirstSeenPerBlock; ++j) {
-      const int n = 4 + static_cast<int>(rng.next_below(3));
-      const int m = 3 + static_cast<int>(rng.next_below(2));
-      Request request = make_request(qsp::make_random_uniform(n, m, rng),
-                                     width_label("new", n, m));
+      QuantumState state = first_seen_state(rng, first_seen_classes);
+      const int m = state.cardinality();
+      Request request = make_request(std::move(state),
+                                     width_label("new", kFirstSeenQubits, m));
       request.on_device = j % 2 == 1;
+      request.first_seen = true;
       block.push_back(std::move(request));
     }
     while (block.size() < kServiceBlock) {
@@ -343,7 +370,7 @@ WorkloadInputs service_mix_inputs(std::uint64_t seed) {
       block.push_back(std::move(request));
     }
     for (std::size_t j = 0; j < kQasmPerBlock; ++j) {
-      Request& request = block[kDensePerBlock + j];
+      Request& request = block[kDensePerBlock + kFirstSeenPerBlock + j];
       request.qasm = qsp::to_qasm(qsp::mflow_prepare(request.state).circuit);
     }
     rng.shuffle(block);
@@ -525,12 +552,6 @@ bool fits_exact_thresholds(const QuantumState& state,
     if (!compressed.qubit_constant(q)) ++active;
   }
   return active <= options.exact_max_qubits;
-}
-
-bool is_sparse_path(const QuantumState& state) {
-  const auto n = static_cast<std::uint64_t>(state.num_qubits());
-  const auto m = static_cast<std::uint64_t>(state.cardinality());
-  return n * m < (std::uint64_t{1} << n);
 }
 
 }  // namespace perfbench

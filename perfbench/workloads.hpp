@@ -34,11 +34,14 @@ struct Request {
   /// Non-empty: sent through SynthesisService::submit_qasm as this
   /// OpenQASM program, which prepares `state`.
   std::string qasm;
+  /// service_mix: a state whose cache class neither the warm fill nor an
+  /// earlier request of the list touches, so its first send is a miss.
+  bool first_seen = false;
 };
 
 struct WorkloadInputs {
-  /// Set-up requests: the fixed warm-up of the one-shot workloads, the
-  /// cache warm fill of service_mix. Not timed as requests.
+  /// Set-up requests: the cache warm fill of service_mix. Empty on the
+  /// one-shot workloads, whose set-up runs no request.
   std::vector<Request> setup;
   /// The timed request list, cycled in order until the run ends.
   std::vector<Request> requests;
@@ -101,12 +104,13 @@ double tail_percentile(std::size_t n, double cap);
 double geometric_mean(const std::vector<double>& values);
 double median(std::vector<double> values);
 
-/// The workflow's exact-tail admission rule (Solver::prepare): the state
-/// has a slot decomposition with cardinality and compressed entangled
-/// width within the options' thresholds.
+/// The workflow's exact-tail admission rule: the state has a slot
+/// decomposition with cardinality and compressed entangled width within
+/// the options' thresholds. A copy of the private `fits_thresholds` lambda
+/// in Solver::prepare (src/flow/solver.cpp), which has no public
+/// equivalent; the prep and arch replays of the traced run need it, and it
+/// must change when that lambda does.
 bool fits_exact_thresholds(const qsp::QuantumState& state,
                            const qsp::WorkflowOptions& options);
-/// n * m < 2^n: the workflow's sparse-path test.
-bool is_sparse_path(const qsp::QuantumState& state);
 
 }  // namespace perfbench
