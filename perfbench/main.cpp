@@ -96,12 +96,20 @@ std::optional<Args> parse_args(int argc, char** argv) {
 }
 
 void print_phase(const char* name, const EndToEnd& e) {
+  const LatencySummary& l = e.latency;
+  std::string basis = "each request's quickest call";
+  if (l.windows > 0) {
+    basis = "quicker quartile of " + std::to_string(l.windows) +
+            " windows of " + std::to_string(l.samples) + " requests";
+  }
   std::printf(
-      "%s: %zu requests, latency p50 %.4f ms, p%g %.4f ms (%zu samples, %zu "
-      "beyond), %.2f req/s, cnot_ratio %.6f over the first %zu, failed %zu of "
-      "%zu, peak RSS %.1f MiB, outputs digest %016llx\n",
-      name, e.samples, e.p50_ms, e.tail_percentile, e.tail_ms, e.samples,
-      samples_beyond(e.samples, e.tail_percentile), e.throughput_rps,
+      "%s: %zu requests (%.2f req/s over the phase); %s: latency p50 %.4f "
+      "ms, p%g %.4f ms (%zu samples, %zu beyond), %.2f req/s; cnot_ratio "
+      "%.6f over the first %zu, failed %zu of %zu, peak RSS %.1f MiB, "
+      "outputs digest %016llx\n",
+      name, e.attempted, e.phase_rps, basis.c_str(), l.p50_ms,
+      l.tail_percentile, l.tail_ms, l.samples,
+      samples_beyond(l.samples, l.tail_percentile), l.throughput_rps,
       e.cnot_ratio, e.digest_requests, e.failed, e.attempted, e.peak_rss_mb,
       static_cast<unsigned long long>(e.outputs_digest));
 }

@@ -54,6 +54,7 @@ void record(const Context& ctx, Finished done, Phase& phase,
   c.seq = done.seq;
   c.index = done.index;
   c.latency_s = done.ready_s - done.submit_s;
+  c.ready_s = done.ready_s;
   c.failed = !done.result.has_value() || !done.result->found ||
              done.result->timed_out;
   std::shared_ptr<const qsp::Circuit> output;
@@ -108,6 +109,7 @@ Phase run_one_shot(const Context& ctx, const Setup& setup, double seconds,
   Phase phase;
   const std::vector<Request>& requests = ctx.inputs.requests;
   const double start = now_s();
+  phase.start_s = start;
   for (std::uint64_t seq = 0;; ++seq) {
     if (seq >= ctx.spec.min_requests && now_s() - start >= seconds) break;
     Finished done;
@@ -142,6 +144,13 @@ Phase run_one_shot(const Context& ctx, const Setup& setup, double seconds,
 /// Closed loop, one generator thread keeping kServiceOutstanding
 /// requests in flight against the service's workers. Completions are
 /// detected by polling, so latency runs from submit to response ready.
+/// The generator yields while requests are completing (a cache hit takes
+/// about 0.1 ms) and parks once none has for kSpinSeconds, so it holds no
+/// core while the workers run long searches; a parked generator sees a
+/// completion at most kParkSeconds late.
+constexpr double kSpinSeconds = 200e-6;
+constexpr auto kParkSeconds = std::chrono::microseconds(100);
+
 Phase run_service(const Context& ctx, const Setup& setup, double seconds,
                   bool traced, OutputStore& store) {
   Phase phase;
@@ -155,6 +164,8 @@ Phase run_service(const Context& ctx, const Setup& setup, double seconds,
   const auto outstanding = static_cast<std::size_t>(kServiceOutstanding);
   phase.cache_before = service.cache_stats();
   const double start = now_s();
+  phase.start_s = start;
+  double last_event_s = start;
   std::uint64_t seq = 0;
   for (;;) {
     while (inflight.size() < outstanding &&
@@ -210,9 +221,15 @@ Phase run_service(const Context& ctx, const Setup& setup, double seconds,
                      requests[done.index].label.c_str(), e.what());
       }
       inflight.erase(inflight.begin() + static_cast<std::ptrdiff_t>(i));
+      last_event_s = done.ready_s;
       record(ctx, std::move(done), phase, store);
     }
-    if (!any) std::this_thread::yield();
+    if (any) continue;
+    if (now_s() - last_event_s < kSpinSeconds) {
+      std::this_thread::yield();
+    } else {
+      inflight.front().future.wait_for(kParkSeconds);
+    }
   }
   phase.wall_s = now_s() - start;
   phase.cache_after = service.cache_stats();
@@ -333,15 +350,16 @@ double Baselines::cnots(std::size_t index, bool sparse_path) {
 EndToEnd summarize(const Context& ctx, const Phase& phase,
                    const OutputStore& store, Baselines& baselines) {
   EndToEnd e;
-  std::vector<double> latencies_ms;
+  std::vector<Call> calls;
   for (const Completed& c : phase.completed) {
-    latencies_ms.push_back(1e3 * c.latency_s);
+    calls.push_back(Call{c.index, c.latency_s, c.ready_s});
   }
-  e.samples = latencies_ms.size();
-  e.tail_percentile = tail_percentile(e.samples, ctx.spec.tail_percentile);
-  e.p50_ms = percentile(latencies_ms, 50.0);
-  e.tail_ms = percentile(latencies_ms, e.tail_percentile);
-  e.throughput_rps = static_cast<double>(e.samples) / phase.wall_s;
+  e.latency = ctx.service
+                  ? window_summary(calls, phase.start_s,
+                                   ctx.spec.window_requests,
+                                   ctx.spec.tail_percentile)
+                  : best_call_summary(calls, ctx.spec.tail_percentile);
+  e.phase_rps = static_cast<double>(calls.size()) / phase.wall_s;
   e.peak_rss_mb = phase.peak_rss_mb;
 
   std::vector<const Completed*> by_seq;
@@ -381,9 +399,9 @@ EndToEnd summarize(const Context& ctx, const Phase& phase,
 std::vector<Metric> end_to_end_metrics(const EndToEnd& e, double setup_s) {
   return {
       {"setup_s", setup_s, "s"},
-      {"latency_p50_ms", e.p50_ms, "ms"},
-      {"latency_tail_ms", e.tail_ms, "ms"},
-      {"throughput_rps", e.throughput_rps, "1/s"},
+      {"latency_p50_ms", e.latency.p50_ms, "ms"},
+      {"latency_tail_ms", e.latency.tail_ms, "ms"},
+      {"throughput_rps", e.latency.throughput_rps, "1/s"},
       {"cnot_ratio", e.cnot_ratio, "ratio"},
       {"ok_share", e.ok_share, "share"},
       {"peak_rss_mb", e.peak_rss_mb, "MiB"},

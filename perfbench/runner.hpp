@@ -61,6 +61,7 @@ struct Completed {
   std::uint64_t seq = 0;
   std::size_t index = 0;
   double latency_s = 0.0;
+  double ready_s = 0.0;
   /// Threw, returned found == false, or timed out.
   bool failed = false;
   std::uint64_t output_key = 0;
@@ -70,8 +71,10 @@ struct Completed {
 };
 
 struct Phase {
+  /// In completion order.
   std::vector<Completed> completed;
   std::vector<TracedRequest> traced;
+  double start_s = 0.0;
   double wall_s = 0.0;
   /// Peak resident memory when spec.min_requests requests had completed.
   double peak_rss_mb = 0.0;
@@ -107,11 +110,11 @@ class Baselines {
 };
 
 struct EndToEnd {
-  double p50_ms = 0.0;
-  double tail_ms = 0.0;
-  double tail_percentile = 0.0;
-  std::size_t samples = 0;
-  double throughput_rps = 0.0;
+  /// latency_p50_ms, latency_tail_ms and throughput_rps: best_call_summary
+  /// on the one-shot workloads, window_summary on service_mix.
+  LatencySummary latency;
+  /// Requests completed per second over the whole phase.
+  double phase_rps = 0.0;
   double cnot_ratio = 0.0;
   double ok_share = 0.0;
   double peak_rss_mb = 0.0;

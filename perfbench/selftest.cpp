@@ -1,6 +1,7 @@
 // Self-tests of the benchmark itself (not of the library): the generator
 // is pure and its first-seen classes are new, the tail rule keeps ten
-// samples beyond its percentile, derived queue wait is never negative, a
+// samples beyond its percentile, the latency summaries keep the quick
+// mode of an alternating host, derived queue wait is never negative, a
 // traced run emits every per-layer metric, non-zero wherever the workload
 // runs its layer, and tracing leaves every output unchanged.
 //
@@ -83,13 +84,58 @@ TEST(TailRule, KeepsTenSamplesBeyondThePercentile) {
       EXPECT_EQ(beyond, samples_beyond(n, p));
     }
   }
-  // Every workload's minimum run keeps its fixed percentile valid.
+  // Every workload keeps its fixed percentile valid over what its summary
+  // ranks: the distinct requests of a one-shot list, or one service
+  // window. The minimum run makes two passes or two windows.
   for (Workload w : kWorkloads) {
     const WorkloadSpec spec = workload_spec(w);
-    EXPECT_EQ(tail_percentile(spec.min_requests, spec.tail_percentile),
+    const std::size_t ranked = spec.window_requests > 0
+                                   ? spec.window_requests
+                                   : generate_inputs(w, 1).requests.size();
+    EXPECT_EQ(tail_percentile(ranked, spec.tail_percentile),
               spec.tail_percentile)
         << workload_name(w);
+    EXPECT_EQ(spec.min_requests, 2 * ranked) << workload_name(w);
   }
+}
+
+TEST(Summary, KeepsTheQuickModeOfAHostThatAlternates) {
+  // 200 requests, four passes; the host runs 1.5x slower in passes 1 and
+  // 3, and for every fourth request of pass 0.
+  std::vector<Call> calls;
+  double clock_s = 0.0;
+  for (std::size_t pass = 0; pass < 4; ++pass) {
+    for (std::size_t i = 0; i < 200; ++i) {
+      const double quick_s = 1e-3 * static_cast<double>(1 + i);
+      const bool slow = pass % 2 == 1 || (pass == 0 && i % 4 == 0);
+      const double latency_s = slow ? 1.5 * quick_s : quick_s;
+      clock_s += latency_s;
+      calls.push_back(Call{i, latency_s, clock_s});
+    }
+  }
+  const LatencySummary best = best_call_summary(calls, 99.0);
+  EXPECT_EQ(best.samples, 200u);
+  EXPECT_EQ(best.tail_percentile, 90.0);
+  EXPECT_DOUBLE_EQ(best.p50_ms, 100.0);
+  EXPECT_DOUBLE_EQ(best.tail_ms, 180.0);
+  EXPECT_DOUBLE_EQ(best.throughput_rps, 200.0 / (1e-3 * 200.0 * 201.0 / 2.0));
+
+  // Windows of one pass each: the quickest of the four, pass 2, sets
+  // every figure.
+  const LatencySummary windows = window_summary(calls, 0.0, 200, 99.0);
+  EXPECT_EQ(windows.windows, 4u);
+  EXPECT_EQ(windows.samples, 200u);
+  const LatencySummary quick_pass = window_summary(
+      std::vector<Call>(calls.begin() + 400, calls.begin() + 600),
+      calls[399].ready_s, 200, 99.0);
+  EXPECT_DOUBLE_EQ(quick_pass.p50_ms, 100.0);
+  EXPECT_DOUBLE_EQ(windows.p50_ms, quick_pass.p50_ms);
+  EXPECT_DOUBLE_EQ(windows.tail_ms, quick_pass.tail_ms);
+  EXPECT_NEAR(windows.throughput_rps, quick_pass.throughput_rps,
+              1e-9 * quick_pass.throughput_rps);
+  // A partial last window is dropped.
+  calls.pop_back();
+  EXPECT_EQ(window_summary(calls, 0.0, 200, 99.0).windows, 3u);
 }
 
 TEST(QueueWait, DerivedWaitIsNeverNegative) {

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -117,7 +118,8 @@ WorkloadInputs sparse_inputs(std::uint64_t seed) {
 // n-2. Every request reaches the exact tail: n >= 9 marginals exceed
 // dense_tail_total_cap and Dicke(8,2)/(8,6) take the sparse path, so both
 // are left out. Each block of 12 holds two random states per width and
-// four Dicke states.
+// four Dicke states. The list is nine blocks (108 requests, ten beyond
+// p90), short enough that a run passes over it two to three times.
 
 constexpr std::array<std::pair<int, int>, 13> kDenseDicke{{{4, 2},
                                                           {5, 2},
@@ -132,13 +134,13 @@ constexpr std::array<std::pair<int, int>, 13> kDenseDicke{{{4, 2},
                                                           {8, 3},
                                                           {8, 4},
                                                           {8, 5}}};
-constexpr int kDenseBlocks = 22;
+constexpr int kDenseBlocks = 9;
 constexpr int kDenseBlock = 12;
 // n = 8 states come from a fixed pool, taken in turn: their search
 // footprints range over several MiB, so per-seed draws would make the
 // workload's peak memory depend on which ones a seed happened to draw.
-// Two per block cover the pool within the minimum run (10 blocks).
-constexpr std::size_t kDensePool = 20;
+// Two per block cover the pool once per pass.
+constexpr std::size_t kDensePool = 18;
 constexpr std::uint64_t kDensePoolSeed = 20240808;
 
 WorkloadInputs dense_inputs(std::uint64_t seed) {
@@ -185,12 +187,18 @@ constexpr int kVariantsPerEntry = 4;
 // Every block of 200 requests holds exactly 3 dense (1.5%), 3 first-seen
 // (1.5%) and 20 QASM-fronted (10%) requests, and equal device and
 // all-to-all halves of the catalogue draws, so the expensive shares do not
-// vary with the seed. 400 blocks are 80000 requests: a 30-s run ends
+// vary with the seed. 400 blocks are 80000 requests: a 40-s run ends
 // before the list cycles, which would turn first-seen requests into
-// repeats, below 2600 requests/s (about 1.6 times the fastest run seen).
+// repeats, below 2000 requests/s (about 1.2 times the fastest run seen).
+// The list cannot grow much: the first-seen class space below holds 1554
+// classes, and 400 blocks take 1200 of them.
 constexpr std::size_t kServiceBlocks = 400;
 constexpr std::size_t kServiceBlock = 200;
 constexpr std::size_t kDensePerBlock = 3;
+// Completions per window of window_summary: ten blocks, so each window
+// holds about the list's mix and twenty samples beyond p99. A 40-s run
+// makes 15 to 35 windows.
+constexpr std::size_t kServiceWindow = 10 * kServiceBlock;
 constexpr std::size_t kFirstSeenPerBlock = 3;
 constexpr std::size_t kQasmPerBlock = 20;
 
@@ -406,11 +414,11 @@ WorkloadSpec workload_spec(Workload workload) {
   switch (workload) {
     case Workload::kSparse:
       return {2 * kSparsePerWidth * (kSparseMaxWidth - kSparseMinWidth + 1),
-              99.0, 200};
+              99.0, 0, 200};
     case Workload::kDense:
-      return {10 * kDenseBlock, 90.0, 16};
+      return {2 * kDenseBlocks * kDenseBlock, 90.0, 0, 16};
     case Workload::kServiceMix:
-      return {4000, 99.0, 120};
+      return {2 * kServiceWindow, 99.0, kServiceWindow, 120};
   }
   return {};
 }
@@ -532,6 +540,58 @@ double geometric_mean(const std::vector<double>& values) {
 
 double median(std::vector<double> values) {
   return percentile(std::move(values), 50.0);
+}
+
+LatencySummary best_call_summary(const std::vector<Call>& calls, double cap) {
+  std::unordered_map<std::size_t, double> best;
+  for (const Call& c : calls) {
+    const auto [it, inserted] = best.try_emplace(c.index, c.latency_s);
+    if (!inserted) it->second = std::min(it->second, c.latency_s);
+  }
+  std::vector<double> ms;
+  double total_s = 0.0;
+  for (const auto& [index, seconds] : best) {
+    ms.push_back(1e3 * seconds);
+    total_s += seconds;
+  }
+  LatencySummary s;
+  s.samples = ms.size();
+  s.tail_percentile = tail_percentile(s.samples, cap);
+  s.p50_ms = percentile(ms, 50.0);
+  s.tail_ms = percentile(ms, s.tail_percentile);
+  s.throughput_rps =
+      total_s > 0.0 ? static_cast<double>(s.samples) / total_s : 0.0;
+  return s;
+}
+
+LatencySummary window_summary(const std::vector<Call>& calls, double start_s,
+                              std::size_t window, double cap) {
+  LatencySummary s;
+  s.samples = window;
+  s.tail_percentile = tail_percentile(window, cap);
+  std::vector<double> p50s;
+  std::vector<double> tails;
+  std::vector<double> durations_s;
+  double window_start_s = start_s;
+  for (std::size_t begin = 0; window > 0 && begin + window <= calls.size();
+       begin += window) {
+    std::vector<double> ms;
+    for (std::size_t i = begin; i < begin + window; ++i) {
+      ms.push_back(1e3 * calls[i].latency_s);
+    }
+    p50s.push_back(percentile(ms, 50.0));
+    tails.push_back(percentile(std::move(ms), s.tail_percentile));
+    const double end_s = calls[begin + window - 1].ready_s;
+    durations_s.push_back(end_s - window_start_s);
+    window_start_s = end_s;
+  }
+  s.windows = durations_s.size();
+  if (s.windows == 0) return s;
+  s.p50_ms = percentile(std::move(p50s), 25.0);
+  s.tail_ms = percentile(std::move(tails), 25.0);
+  s.throughput_rps = static_cast<double>(window) /
+                     percentile(std::move(durations_s), 25.0);
+  return s;
 }
 
 bool fits_exact_thresholds(const QuantumState& state,

@@ -50,13 +50,18 @@ struct WorkloadInputs {
 /// Fixed per-workload run shape.
 struct WorkloadSpec {
   /// Requests every run completes before it may stop, whatever the clock
-  /// says. The outputs digest and cnot_ratio cover exactly this prefix,
-  /// and it is large enough for `tail_percentile` to keep ten samples
-  /// beyond it.
+  /// says: two passes over a one-shot request list, two windows of
+  /// service_mix. The outputs digest and cnot_ratio cover exactly this
+  /// prefix.
   std::size_t min_requests = 0;
   /// The latency_tail_ms percentile. Fixed per workload so the metric
-  /// keeps its meaning when a faster program completes more requests.
+  /// keeps its meaning when a faster program completes more requests;
+  /// the request list (one-shot) or a window (service_mix) keeps ten
+  /// samples beyond it.
   double tail_percentile = 99.0;
+  /// service_mix: completions per window of window_summary. 0 on the
+  /// one-shot workloads, which use best_call_summary.
+  std::size_t window_requests = 0;
   /// Requests replayed for the per-layer prep/circuit/arch costs in a
   /// traced run (the first distinct requests of the traced phase).
   std::size_t replay_requests = 0;
@@ -103,6 +108,51 @@ std::size_t samples_beyond(std::size_t n, double p);
 double tail_percentile(std::size_t n, double cap);
 double geometric_mean(const std::vector<double>& values);
 double median(std::vector<double> values);
+
+/// The timed latency figures of one phase.
+///
+/// The reference host alternates between a quick and a slow speed mode
+/// (about 1.5x apart) for seconds at a time, and the slow share drifts
+/// over minutes, so whole-run figures follow the host more than the
+/// program. Both summaries keep what the quick mode shows:
+/// best_call_summary takes each request's quickest call over several
+/// passes of a one-shot request list; window_summary cuts a service
+/// phase into windows of equal completion counts and takes the quicker
+/// quartile of the per-window figures.
+struct LatencySummary {
+  double p50_ms = 0.0;
+  double tail_ms = 0.0;
+  double tail_percentile = 0.0;
+  double throughput_rps = 0.0;
+  /// Latencies behind each percentile: distinct requests, or one
+  /// window's completions.
+  std::size_t samples = 0;
+  /// Windows summarized; 0 for best_call_summary.
+  std::size_t windows = 0;
+};
+
+/// One call of a request: its index in the request list, its latency
+/// and when it completed (seconds on the now_s() clock).
+struct Call {
+  std::size_t index = 0;
+  double latency_s = 0.0;
+  double ready_s = 0.0;
+};
+
+/// One client calling back to back: per request, its quickest call.
+/// p50 and the tail percentile are over those latencies (capped at
+/// `cap`, ten samples beyond), and throughput is the rate of a client
+/// whose every call takes its request's quickest time.
+LatencySummary best_call_summary(const std::vector<Call>& calls, double cap);
+
+/// Calls in completion order from a phase that started at `start_s`, cut
+/// into windows of `window` completions (a last partial window is
+/// dropped). Per window: p50, the tail percentile (capped at `cap`, ten
+/// samples beyond) and the time since the previous window ended.
+/// Reported: the lower quartile of each latency over the windows, and
+/// `window` completions over the lower quartile of the window times.
+LatencySummary window_summary(const std::vector<Call>& calls, double start_s,
+                              std::size_t window, double cap);
 
 /// The workflow's exact-tail admission rule: the state has a slot
 /// decomposition with cardinality and compressed entangled width within
