@@ -3,13 +3,13 @@
 // ours. Prints one data series per method (seconds, averaged per n) —
 // the same series the paper plots on a log axis.
 //
-// Sections (c)/(d) go beyond the paper: thread scaling of the exact
-// kernel (serial A* vs the sharded HDA* kernel of
-// core/parallel_astar.hpp), asserting that every thread count reproduces
-// the serial certificate bit-for-bit while reporting wall time and the
-// queue-pressure stats (summed per-shard peak open size, stale pops); and
-// thread scaling of the anytime beam (core/parallel_beam.hpp), asserting
-// serial-vs-parallel bit-identical circuits at every thread count.
+// Sections (c)/(d) go beyond the paper: thread scaling of the sharded
+// HDA* kernel (core/astar.hpp), asserting that every thread count
+// reproduces the 1-thread certificate bit-for-bit while reporting wall
+// time and the queue-pressure stats (summed per-shard peak open size,
+// stale pops); and thread scaling of the sharded anytime beam
+// (core/beam.hpp), asserting circuits bit-identical to the 1-thread
+// descent at every thread count.
 
 #include <cstdlib>
 #include <iostream>
@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/parallel_astar.hpp"
-#include "core/parallel_beam.hpp"
+#include "core/astar.hpp"
+#include "core/beam.hpp"
 #include "state/state_factory.hpp"
 #include "table5_common.hpp"
 #include "util/rng.hpp"
@@ -54,9 +54,9 @@ void sweep(const std::string& title, bool dense, int n_min, int n_max,
   std::cout << table.render() << "\n";
 }
 
-/// Exact-kernel thread scaling on instances the serial kernel certifies.
-/// Every thread count must reproduce the serial cnot_cost and optimal
-/// flag — a runtime check of the parallel certificate, not just a timing.
+/// Exact-kernel thread scaling on instances the 1-thread search certifies.
+/// Every thread count must reproduce the 1-thread cnot_cost and optimal
+/// flag — a runtime check of the sharded certificate, not just a timing.
 void thread_scaling() {
   std::cout << "(c) exact kernel thread scaling (sharded HDA*)\n";
   struct Instance {
@@ -82,8 +82,8 @@ void thread_scaling() {
   for (const Instance& inst : instances) {
     if (!first_instance) table.add_separator();
     first_instance = false;
-    double serial_seconds = 0.0;
-    std::int64_t serial_cost = -1;
+    double one_thread_seconds = 0.0;
+    std::int64_t one_thread_cost = -1;
     for (const int threads : thread_counts) {
       SearchOptions options;
       options.num_threads = threads;
@@ -94,16 +94,17 @@ void thread_scaling() {
         std::exit(1);
       }
       if (threads == 1) {
-        serial_seconds = res.stats.seconds;
-        serial_cost = res.cnot_cost;
-      } else if (res.cnot_cost != serial_cost || !res.optimal) {
+        one_thread_seconds = res.stats.seconds;
+        one_thread_cost = res.cnot_cost;
+      } else if (res.cnot_cost != one_thread_cost || !res.optimal) {
         std::cerr << "CERTIFICATE MISMATCH on " << inst.name << " at "
                   << threads << " threads: cost " << res.cnot_cost
-                  << " vs serial " << serial_cost << "\n";
+                  << " vs 1 thread " << one_thread_cost << "\n";
         std::exit(1);
       }
-      const double speedup =
-          res.stats.seconds > 0.0 ? serial_seconds / res.stats.seconds : 1.0;
+      const double speedup = res.stats.seconds > 0.0
+                                 ? one_thread_seconds / res.stats.seconds
+                                 : 1.0;
       table.add_row({inst.name, TextTable::fmt(threads),
                      TextTable::fmt(res.stats.seconds, 4),
                      TextTable::fmt(speedup, 2) + "x",
@@ -119,7 +120,7 @@ void thread_scaling() {
                 {"optimal", res.optimal},
                 {"seconds", res.stats.seconds},
                 {"threads", threads},
-                {"speedup_vs_serial", speedup},
+                {"speedup_vs_1_thread", speedup},
                 {"sum_shard_peak_open_size", res.stats.sum_shard_peak_open_size},
                 {"stale_pops", res.stats.stale_pops}});
     }
@@ -127,13 +128,12 @@ void thread_scaling() {
   std::cout << table.render() << "\n";
 }
 
-/// Beam-kernel thread scaling on the anytime path: the sharded parallel
-/// beam (core/parallel_beam.hpp) must reproduce the serial descent's
-/// circuit and cnot_cost bit for bit at every thread count — re-checked
-/// here at every bench run, alongside wall time and generated-node
-/// counts per cell.
+/// Beam-kernel thread scaling on the anytime path: the sharded beam
+/// (core/beam.hpp) must reproduce the 1-thread descent's circuit and
+/// cnot_cost bit for bit at every thread count — re-checked here at every
+/// bench run, alongside wall time and generated-node counts per cell.
 void beam_thread_scaling() {
-  std::cout << "(d) beam kernel thread scaling (sharded parallel beam)\n";
+  std::cout << "(d) beam kernel thread scaling (sharded beam)\n";
   struct Instance {
     std::string name;
     QuantumState state;
@@ -158,8 +158,8 @@ void beam_thread_scaling() {
   for (const Instance& inst : instances) {
     if (!first_instance) table.add_separator();
     first_instance = false;
-    double serial_seconds = 0.0;
-    SynthesisResult serial;
+    double one_thread_seconds = 0.0;
+    SynthesisResult one_thread;
     for (const int threads : thread_counts) {
       BeamOptions options;
       options.beam_width = inst.beam_width;
@@ -171,18 +171,20 @@ void beam_thread_scaling() {
         std::exit(1);
       }
       if (threads == 1) {
-        serial_seconds = res.stats.seconds;
-        serial = res;
-      } else if (res.cnot_cost != serial.cnot_cost ||
-                 res.circuit != serial.circuit ||
-                 res.stats.nodes_generated != serial.stats.nodes_generated) {
+        one_thread_seconds = res.stats.seconds;
+        one_thread = res;
+      } else if (res.cnot_cost != one_thread.cnot_cost ||
+                 res.circuit != one_thread.circuit ||
+                 res.stats.nodes_generated !=
+                     one_thread.stats.nodes_generated) {
         std::cerr << "BEAM DETERMINISM MISMATCH on " << inst.name << " at "
                   << threads << " threads: cost " << res.cnot_cost
-                  << " vs serial " << serial.cnot_cost << "\n";
+                  << " vs 1 thread " << one_thread.cnot_cost << "\n";
         std::exit(1);
       }
-      const double speedup =
-          res.stats.seconds > 0.0 ? serial_seconds / res.stats.seconds : 1.0;
+      const double speedup = res.stats.seconds > 0.0
+                                 ? one_thread_seconds / res.stats.seconds
+                                 : 1.0;
       table.add_row({inst.name, TextTable::fmt(threads),
                      TextTable::fmt(res.stats.seconds, 4),
                      TextTable::fmt(speedup, 2) + "x",
@@ -197,7 +199,7 @@ void beam_thread_scaling() {
                 {"optimal", res.optimal},
                 {"seconds", res.stats.seconds},
                 {"threads", threads},
-                {"speedup_vs_serial", speedup},
+                {"speedup_vs_1_thread", speedup},
                 {"nodes_generated", res.stats.nodes_generated},
                 {"classes_stored", res.stats.classes_stored}});
     }
@@ -217,7 +219,7 @@ int main() {
       "m-flow hits the time limit on large dense instances. Section (c)\n"
       "adds exact-kernel thread scaling with the certificate re-checked\n"
       "at every thread count; section (d) adds beam-kernel thread\n"
-      "scaling with serial-vs-parallel bit-identity re-checked.");
+      "scaling with bit-identity to the 1-thread descent re-checked.");
 
   const bool full = full_mode();
   const bool smoke = smoke_mode();
@@ -239,7 +241,7 @@ int main() {
                "Sections (c)/(d): speedup grows with instance hardness and\n"
                "the machine's core count; on a single-core host the sharded\n"
                "kernels only add coordination overhead. Section (d)\n"
-               "re-checks that the parallel beam is bit-identical to the\n"
-               "serial descent at every thread count.\n";
+               "re-checks that the beam is bit-identical to the 1-thread\n"
+               "descent at every thread count.\n";
   return 0;
 }

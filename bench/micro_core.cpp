@@ -1,18 +1,14 @@
 // Microbenchmarks for the exact-synthesis primitives: canonical keys,
-// move enumeration, arc application, heuristics, the A* kernel (serial
-// and sharded HDA*) on the paper's headline instance, and statevector
+// move enumeration, arc application, heuristics, the A* kernel at 1, 2
+// and 8 threads on the paper's headline instance, and statevector
 // simulation.
 //
-// Two layers:
-//  - Optional Google Benchmark suites (only when the build found
-//    libbenchmark; QSP_HAVE_GBENCH) for interactive perf work.
-//  - A hand-timed kernel sweep that always runs and emits one
-//    canonical-schema json_row per kernel cell — this is what
-//    bench/baseline/micro_core.jsonl and tools/bench_compare.py consume,
-//    so it must not depend on libbenchmark being installed. Each kernel
-//    row carries a deterministic output checksum: bench_compare uses it
-//    to prove the scalar and AVX2 dispatch paths (util/simd.hpp) compute
-//    bit-identical results end to end, not just per primitive.
+// A hand-timed kernel sweep emits one canonical-schema json_row per
+// kernel cell — this is what bench/baseline/micro_core.jsonl and
+// tools/bench_compare.py consume. Each kernel row carries a
+// deterministic output checksum: bench_compare uses it to prove the
+// scalar and AVX2 dispatch paths (util/simd.hpp) compute bit-identical
+// results end to end, not just per primitive.
 
 #include <complex>
 #include <cstring>
@@ -23,17 +19,12 @@
 #include "core/canonical.hpp"
 #include "core/heuristic.hpp"
 #include "core/moves.hpp"
-#include "core/parallel_astar.hpp"
 #include "phase/complex_statevector.hpp"
 #include "sim/statevector.hpp"
 #include "state/state_factory.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/timer.hpp"
-
-#ifdef QSP_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#endif
 
 namespace {
 
@@ -44,15 +35,11 @@ SlotState benchmark_state(int n, int m, std::uint64_t seed) {
   return *SlotState::from_state(make_random_uniform(n, m, rng));
 }
 
-// ---------------------------------------------------------------------------
-// Hand-timed kernel sweep (always built)
-// ---------------------------------------------------------------------------
-
 /// FNV-1a over raw bytes: the cross-ISA determinism witness attached to
-/// every kernel row.
-std::uint64_t checksum_bytes(const void* data, std::size_t size) {
+/// every kernel row. `h` chains several buffers into one checksum.
+std::uint64_t checksum_bytes(const void* data, std::size_t size,
+                             std::uint64_t h = 1469598103934665603ull) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ull;
   for (std::size_t i = 0; i < size; ++i) {
     h ^= p[i];
     h *= 1099511628211ull;
@@ -114,6 +101,61 @@ void emit_canonical_rows() {
     const double spi = time_kernel(
         [&] { key = canonical_key(s, cell.level); }, &iters);
     kernel_row(cell.kernel, cell.n, spi, iters, checksum_vector(key));
+  }
+}
+
+/// Field-wise checksums for struct outputs, so padding bytes never reach
+/// the witness.
+std::uint64_t checksum_moves(const std::vector<Move>& moves) {
+  std::uint64_t h = checksum_bytes(nullptr, 0);
+  for (const Move& mv : moves) {
+    const std::int64_t fields[] = {static_cast<std::int64_t>(mv.kind),
+                                   mv.target, mv.control,
+                                   mv.control_positive ? 1 : 0, mv.cost};
+    h = checksum_bytes(fields, sizeof fields, h);
+    h = checksum_bytes(&mv.theta, sizeof mv.theta, h);
+    for (const ControlLiteral& c : mv.controls) {
+      const std::int64_t literal[] = {c.qubit, c.positive ? 1 : 0};
+      h = checksum_bytes(literal, sizeof literal, h);
+    }
+  }
+  return h;
+}
+
+std::uint64_t checksum_slots(const SlotState& s, std::uint64_t h) {
+  for (const SlotEntry& e : s.entries()) {
+    const std::uint64_t fields[] = {e.index, e.count};
+    h = checksum_bytes(fields, sizeof fields, h);
+  }
+  return h;
+}
+
+/// Move generation and arc application, the per-expansion work of every
+/// search besides canonicalization and the heuristic.
+void emit_move_rows() {
+  for (const int n : {4, 6, 8}) {
+    const SlotState s = benchmark_state(n, 2 * n, 2);
+    const MoveGenOptions options;
+    std::vector<Move> moves;
+    std::uint64_t iters = 0;
+    const double spi =
+        time_kernel([&] { moves = enumerate_moves(s, options); }, &iters);
+    kernel_row("enumerate_moves", n, spi, iters, checksum_moves(moves));
+  }
+  for (const int n : {4, 6}) {
+    const SlotState s = benchmark_state(n, 2 * n, 3);
+    const std::vector<Move> moves = enumerate_moves(s, MoveGenOptions{});
+    std::uint64_t ck = checksum_bytes(nullptr, 0);
+    for (const Move& mv : moves) ck = checksum_slots(apply_move(s, mv), ck);
+    std::uint64_t total = 0;
+    std::uint64_t iters = 0;
+    const double spi = time_kernel(
+        [&] {
+          for (const Move& mv : moves) total += apply_move(s, mv).total();
+        },
+        &iters);
+    (void)total;
+    kernel_row("apply_move", n, spi, iters, ck);
   }
 }
 
@@ -290,165 +332,16 @@ void emit_search_rows() {
 
 void emit_kernel_json() {
   emit_canonical_rows();
+  emit_move_rows();
   emit_heuristic_rows();
   emit_compress_free_row();
   emit_statevector_rows();
   emit_search_rows();
 }
 
-// ---------------------------------------------------------------------------
-// Google Benchmark suites (optional)
-// ---------------------------------------------------------------------------
-
-#ifdef QSP_HAVE_GBENCH
-
-void BM_CanonicalKeyU2(benchmark::State& state) {
-  const SlotState s = benchmark_state(static_cast<int>(state.range(0)), 8, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(canonical_key(s, CanonicalLevel::kU2));
-  }
-}
-BENCHMARK(BM_CanonicalKeyU2)->Arg(4)->Arg(6)->Arg(8);
-
-void BM_CanonicalKeyPU2Exact(benchmark::State& state) {
-  const SlotState s = benchmark_state(static_cast<int>(state.range(0)), 8, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(canonical_key(s, CanonicalLevel::kPU2Exact));
-  }
-}
-BENCHMARK(BM_CanonicalKeyPU2Exact)->Arg(4)->Arg(5)->Arg(6);
-
-void BM_CanonicalKeyPU2Greedy(benchmark::State& state) {
-  const SlotState s = benchmark_state(static_cast<int>(state.range(0)), 8, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(canonical_key(s, CanonicalLevel::kPU2Greedy));
-  }
-}
-BENCHMARK(BM_CanonicalKeyPU2Greedy)->Arg(4)->Arg(6)->Arg(8);
-
-void BM_EnumerateMoves(benchmark::State& state) {
-  const SlotState s =
-      benchmark_state(static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)), 2);
-  MoveGenOptions options;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(enumerate_moves(s, options));
-  }
-}
-BENCHMARK(BM_EnumerateMoves)->Args({4, 8})->Args({4, 16})->Args({6, 12});
-
-void BM_ApplyMove(benchmark::State& state) {
-  const SlotState s = benchmark_state(4, 8, 3);
-  const auto moves = enumerate_moves(s, MoveGenOptions{});
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(apply_move(s, moves[i % moves.size()]));
-    ++i;
-  }
-}
-BENCHMARK(BM_ApplyMove);
-
-void BM_HeuristicComponent(benchmark::State& state) {
-  const SlotState s = benchmark_state(static_cast<int>(state.range(0)),
-                                      static_cast<int>(state.range(0)), 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        heuristic_lower_bound(s, HeuristicMode::kComponent));
-  }
-}
-BENCHMARK(BM_HeuristicComponent)->Arg(6)->Arg(10)->Arg(14);
-
-/// Attach the queue-pressure stats of the last run so regressions in
-/// open-list discipline show up next to the timing.
-void attach_search_counters(benchmark::State& state,
-                            const SynthesisResult& res) {
-  state.counters["sum_shard_peak_open"] =
-      static_cast<double>(res.stats.sum_shard_peak_open_size);
-  state.counters["stale_pops"] = static_cast<double>(res.stats.stale_pops);
-  state.counters["classes"] = static_cast<double>(res.stats.classes_stored);
-  state.counters["arena_bytes_peak"] =
-      static_cast<double>(res.stats.arena_bytes_peak);
-}
-
-void BM_AStarDicke42(benchmark::State& state) {
-  const QuantumState target = make_dicke(4, 2);
-  const AStarSynthesizer synth;
-  SynthesisResult res;
-  for (auto _ : state) {
-    res = synth.synthesize(target);
-    benchmark::DoNotOptimize(res);
-  }
-  attach_search_counters(state, res);
-}
-BENCHMARK(BM_AStarDicke42)->Unit(benchmark::kMillisecond);
-
-void BM_AStarRandom45(benchmark::State& state) {
-  Rng rng(9);
-  const QuantumState target = make_random_uniform(4, 5, rng);
-  const AStarSynthesizer synth;
-  SynthesisResult res;
-  for (auto _ : state) {
-    res = synth.synthesize(target);
-    benchmark::DoNotOptimize(res);
-  }
-  attach_search_counters(state, res);
-}
-BENCHMARK(BM_AStarRandom45)->Unit(benchmark::kMillisecond);
-
-void BM_ParallelAStarDicke42(benchmark::State& state) {
-  const QuantumState target = make_dicke(4, 2);
-  SearchOptions options;
-  options.num_threads = static_cast<int>(state.range(0));
-  const ParallelAStarSynthesizer synth(options);
-  SynthesisResult res;
-  for (auto _ : state) {
-    res = synth.synthesize(target);
-    benchmark::DoNotOptimize(res);
-  }
-  attach_search_counters(state, res);
-}
-BENCHMARK(BM_ParallelAStarDicke42)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_StatevectorCnot(benchmark::State& state) {
-  Statevector sv(static_cast<int>(state.range(0)));
-  sv.apply(Gate::ry(0, 0.3));
-  const Gate cnot = Gate::cnot(0, 1);
-  for (auto _ : state) {
-    sv.apply(cnot);
-    benchmark::DoNotOptimize(sv.amplitudes().data());
-  }
-}
-BENCHMARK(BM_StatevectorCnot)->Arg(10)->Arg(16)->Arg(20);
-
-void BM_CompressFree(benchmark::State& state) {
-  // Product-heavy state: every qubit separable.
-  std::vector<BasisIndex> idx;
-  for (BasisIndex x = 0; x < 16; ++x) idx.push_back(x);
-  const SlotState s = SlotState::from_indices(4, idx);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compress_free(s));
-  }
-}
-BENCHMARK(BM_CompressFree);
-
-#endif  // QSP_HAVE_GBENCH
-
 }  // namespace
 
-int main(int argc, char** argv) {
-#ifdef QSP_HAVE_GBENCH
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-#else
-  (void)argc;
-  (void)argv;
-#endif
+int main() {
   emit_kernel_json();
   return 0;
 }

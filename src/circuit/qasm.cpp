@@ -5,8 +5,10 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/assert.hpp"
+#include "util/bitops.hpp"
 
 namespace qsp {
 
@@ -59,10 +61,12 @@ std::string to_qasm(const Circuit& circuit, const Target& target,
 
 namespace {
 
-/// Cursor over one statement line; methods throw with the line attached.
+/// Cursor over one statement line; methods throw with the line number and
+/// text attached.
 class LineParser {
  public:
-  explicit LineParser(const std::string& line) : line_(line) {}
+  LineParser(const std::string& line, int line_number)
+      : line_(line), line_number_(line_number) {}
 
   void skip_spaces() {
     while (pos_ < line_.size() &&
@@ -110,7 +114,13 @@ class LineParser {
       ++pos_;
     }
     if (pos_ == start) fail("expected a qubit index");
+    // Bound before narrowing: a wide index must not wrap into a valid one.
+    // strtol saturates on overflow, so the bound catches every digit run.
     const long idx = std::strtol(line_.c_str() + start, nullptr, 10);
+    if (idx > kMaxQubits) {
+      fail("qubit index " + line_.substr(start, pos_ - start) +
+           " exceeds the " + std::to_string(kMaxQubits) + "-qubit limit");
+    }
     consume("]");
     return static_cast<int>(idx);
   }
@@ -126,11 +136,13 @@ class LineParser {
   }
 
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("from_qasm: " + what + " in line: " + line_);
+    throw std::invalid_argument("from_qasm: " + what + " in line " +
+                                std::to_string(line_number_) + ": " + line_);
   }
 
  private:
   const std::string& line_;
+  const int line_number_;
   std::size_t pos_ = 0;
 };
 
@@ -140,11 +152,13 @@ Circuit from_qasm(const std::string& qasm) {
   std::istringstream is(qasm);
   std::optional<Circuit> circuit;
   std::string line;
+  int line_number = 0;
   while (std::getline(is, line)) {
+    ++line_number;
     // Strip comments; skip blank lines and the fixed headers.
     const std::size_t comment = line.find("//");
     if (comment != std::string::npos) line.erase(comment);
-    LineParser p(line);
+    LineParser p(line, line_number);
     if (p.at_end()) continue;
     if (p.try_consume("OPENQASM")) continue;
     if (p.try_consume("include")) continue;

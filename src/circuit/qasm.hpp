@@ -28,8 +28,9 @@ std::string to_qasm(const Circuit& circuit, const Target& target,
 /// it (OPENQASM / include headers and `//` comments are skipped). Angles
 /// are read with full double precision, so to_qasm -> from_qasm
 /// reproduces the lowered gate list exactly. Throws std::invalid_argument
-/// on anything outside the subset, with the offending line in the
-/// message.
+/// on anything outside the subset, including qubit indices and register
+/// sizes above kMaxQubits, with the offending line's number and text in
+/// the message.
 Circuit from_qasm(const std::string& qasm);
 
 }  // namespace qsp

@@ -4,6 +4,22 @@
 // returned circuit is the adjoint of the discovered arc sequence plus a
 // zero-cost disentangling suffix, and provably CNOT-optimal whenever the
 // search completes (admissible heuristic + node reopening).
+//
+// The one kernel is sharded HDA* (Kishimoto et al.): the open list is
+// partitioned across SearchOptions::num_threads shards by hashing each
+// node's canonical key, so every equivalence class has exactly one owning
+// shard and duplicate detection needs no global locking. Successors are
+// routed to their owner through mutex-striped mailboxes. Shard 0 runs on
+// the calling thread, so one thread means one shard and no thread start.
+//
+// The optimality certificate holds at every shard count: the search only
+// terminates when an incumbent goal's g is <= the minimum f over every
+// shard's frontier AND no successor message is still in flight (tracked
+// with monotonic sent/received counters and a double-read of the idle
+// state). With the admissible heuristic, any undiscovered path to a
+// cheaper goal would have to pass through a frontier node of smaller f,
+// which cannot exist at that point (termination proof sketch in
+// docs/ARCHITECTURE.md). At one shard the first goal pop is that point.
 
 #include <cstdint>
 #include <memory>
@@ -45,10 +61,9 @@ struct SearchOptions {
   /// admissible, so the optimum is unchanged, but the search expands more
   /// nodes on restricted topologies (ablation_coupling quantifies it).
   bool routed_heuristic = true;
-  /// Worker shards for the exact search: 1 runs the serial kernel, larger
-  /// values run the sharded HDA* kernel (core/parallel_astar.hpp) with
-  /// that many threads, 0 uses all hardware threads. The parallel kernel
-  /// keeps the optimality certificate (see docs/ARCHITECTURE.md).
+  /// Worker shards for the exact search, one thread each: 1 runs a single
+  /// shard on the calling thread, 0 uses all hardware threads. Every
+  /// count keeps the optimality certificate (see docs/ARCHITECTURE.md).
   int num_threads = 1;
   /// Optional cross-request equivalence cache (core/search_cache.hpp).
   /// When set, the search first consults the cache for the target's
@@ -64,13 +79,13 @@ struct SearchStats {
   std::uint64_t nodes_generated = 0;
   std::uint64_t classes_stored = 0;
   /// Queue-pressure signal tracked by micro_core and fig7_runtime: the
-  /// sum over shards of each shard's own peak open-list population. For
-  /// the serial kernels (one shard) this is the true peak; for the
-  /// sharded kernels it is an upper bound on the instantaneous global
-  /// peak, since shard peaks need not coincide in time.
+  /// sum over shards of each shard's own peak open-list population. At
+  /// one shard this is the true peak; at more it is an upper bound on
+  /// the instantaneous global peak, since shard peaks need not coincide
+  /// in time. The beam keeps no open list and reports 0.
   std::uint64_t sum_shard_peak_open_size = 0;
   /// Lazy-deletion discards: popped entries whose pushed g was already
-  /// beaten by a rebind (summed over shards in the parallel kernel).
+  /// beaten by a rebind (summed over shards).
   std::uint64_t stale_pops = 0;
   /// Allocation-pressure signals from the node arena (core/search_core):
   /// blocks allocated and peak resident bytes (node blocks plus slot-entry
@@ -79,13 +94,12 @@ struct SearchStats {
   std::uint64_t arena_blocks = 0;
   std::uint64_t arena_bytes_peak = 0;
   double seconds = 0.0;
-  /// True if the search ran to completion (goal popped, and for the
-  /// sharded kernel: certified against every shard's frontier) within
-  /// budget.
+  /// True if the A* search ran to completion (goal popped and certified
+  /// against every shard's frontier) within budget.
   bool completed = false;
   /// True if the search stopped early because its node or wall-clock
-  /// budget ran out (A*/HDA*: aborted before certifying; beam: a level
-  /// was truncated or skipped on deadline expiry). Distinguishes a
+  /// budget ran out (A*: aborted before certifying; beam: a level was
+  /// truncated or skipped on deadline expiry). Distinguishes a
   /// budget-truncated result — which might improve with more budget —
   /// from a genuinely finished descent or an exhausted search space.
   bool budget_exhausted = false;
@@ -105,6 +119,20 @@ class AStarSynthesizer {
   explicit AStarSynthesizer(SearchOptions options = {});
 
   /// Synthesize a preparation circuit for the slot-encoded target.
+  ///
+  /// Budget rule: the node and wall budgets are checked before every pop
+  /// and while a shard waits for work, never between a goal pop and the
+  /// termination check that certifies it, so a deadline passing in that
+  /// window cannot downgrade a goal that is already certifiable. A wall
+  /// deadline that cuts an expansion short ends the search as a budget
+  /// abort, since the lost successors void every later certificate. When
+  /// the budget runs out before any goal was popped, the result is not found
+  /// with `budget_exhausted`. When it runs out after an incumbent goal was
+  /// popped but before every shard's frontier certified it, the incumbent
+  /// is returned as an anytime result: `found`, `optimal == false` and
+  /// `budget_exhausted`. At one shard no incumbent exists before the goal
+  /// pop that certifies it, so a one-thread search never returns an
+  /// anytime incumbent.
   SynthesisResult synthesize(const SlotState& target) const;
 
   /// Convenience: decompose a sparse state into slots first. Throws

@@ -3,6 +3,19 @@
 // solver. Used for instances beyond exact reach (e.g. Dicke states with
 // n >= 5): returns a valid, verified-by-construction arc path without an
 // optimality claim.
+//
+// The descent is level-synchronous and sharded on the same mailbox
+// substrate as HDA* (core/astar.hpp): each level's frontier is split
+// across BeamOptions::num_threads shards, children are generated and
+// canonicalized locally and routed to the shard owning their canonical
+// key, and a per-shard top-k followed by a merge picks the next frontier
+// behind a level barrier. Shard 0 runs on the calling thread. Within a
+// level a class's winner is the child minimizing (g2, seq), seq stamping
+// the frontier scan order, and candidates are ordered by (score, h,
+// canonical key), a total order; every reduction is an order-free
+// minimum, so the circuit, cnot_cost and the deterministic stats are
+// identical at every thread count. Only deadline-truncated runs differ,
+// and they carry SearchStats::budget_exhausted.
 
 #include "core/astar.hpp"
 
@@ -31,11 +44,10 @@ struct BeamOptions {
   /// Optional coupling constraint (see SearchOptions::coupling).
   std::shared_ptr<const CouplingGraph> coupling;
   double time_budget_seconds = 0.0;
-  /// Worker shards for the level expansion: 1 runs the serial descent,
-  /// larger values run the sharded parallel beam
-  /// (core/parallel_beam.hpp) with that many threads, 0 uses all
-  /// hardware threads. Results are bit-identical at every thread count
-  /// (deterministic (score, h, canonical key) selection).
+  /// Worker shards for the level expansion, one thread each: 1 runs a
+  /// single shard on the calling thread, 0 uses all hardware threads.
+  /// Results are bit-identical at every thread count (deterministic
+  /// (score, h, canonical key) selection).
   int num_threads = 1;
   /// Optional equivalence cache (see SearchOptions::cache). The beam
   /// consults it — a cached certified-optimal circuit beats any beam

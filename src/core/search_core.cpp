@@ -2,8 +2,15 @@
 
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 namespace qsp {
+
+int resolve_num_threads(int requested) {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
 
 CanonicalLevel effective_canonical_level(CanonicalLevel requested,
                                          const CouplingGraph* coupling) {

@@ -1,10 +1,10 @@
 #pragma once
-// Shared substrate for the exact-search family (serial A*, the sharded
-// HDA* kernel, and the anytime beam): the node-record arena with the
-// canonical-key index and A*'s relax/rebind discipline, the lazy-deletion
-// open list, budget/deadline accounting, the coupling-aware
-// canonicalization demotion, and goal-circuit reconstruction. Extracted
-// from astar.cpp / beam.cpp, which used to duplicate this bookkeeping.
+// Shared substrate for the two sharded searchers (HDA* in astar.cpp, the
+// anytime beam in beam.cpp): the node-record arena with the canonical-key
+// index and A*'s relax/rebind discipline, the lazy-deletion open list,
+// budget/deadline accounting, shard sizing and global node ids, the
+// coupling-aware canonicalization demotion, and goal-circuit
+// reconstruction.
 
 #include <algorithm>
 #include <cstdint>
@@ -30,9 +30,9 @@ inline constexpr std::int64_t kInfiniteCost =
 
 /// One explored node: a raw representative of its equivalence class, the
 /// best known arc distance g, the admissible remainder h, and the arc
-/// (parent, via) that achieved g. Node ids are searcher-defined: the
-/// serial kernels use arena offsets, the sharded kernel packs
-/// (shard, local offset) into one id; kNoParent marks the root.
+/// (parent, via) that achieved g. Arenas index nodes by local offset;
+/// `parent` holds a global id packing (shard, local offset), see
+/// make_shard_gid; kNoParent marks the root.
 struct SearchNode {
   static constexpr std::int64_t kNoParent = -1;
 
@@ -47,7 +47,12 @@ struct SearchNode {
 template <class V>
 using ClassIndex = std::unordered_map<CanonicalKey, V, CanonicalKeyHash>;
 
-/// Global node ids for the sharded kernels (HDA*, parallel beam) pack
+/// Resolve a SearchOptions/BeamOptions::num_threads request into a shard
+/// count: a positive request is taken as is, 0 (or less) means all
+/// hardware threads.
+int resolve_num_threads(int requested);
+
+/// Global node ids for the sharded searchers (HDA*, beam) pack
 /// (shard, arena offset) into one int64 so parent chains may cross
 /// shards; SearchNode::kNoParent stays representable (shard -1).
 inline constexpr int kShardGidShift = 40;
@@ -182,7 +187,7 @@ class NodeArena {
 /// the record in place (implicit reopening keeps optimality under an
 /// admissible but possibly inconsistent heuristic). Ids are local arena
 /// offsets; `parent` is stored verbatim so callers may use a wider
-/// encoding (the sharded kernel stores global ids there).
+/// encoding (HDA* stores global ids there).
 class ClassedArena {
  public:
   struct Relaxed {
@@ -331,9 +336,9 @@ class OpenQueue {
 
 /// The shared relax-then-push discipline: relax the arc into the arena
 /// and, when the class is new or rebound cheaper, (re)enter it into the
-/// open list under f = g + h. Every A*-family consumer (serial kernel,
-/// HDA* mail drain, HDA* local expansion) must go through this so the
-/// g-at-push staleness contract stays in one place.
+/// open list under f = g + h. Both HDA* consumers (mail drain and local
+/// expansion) must go through this so the g-at-push staleness contract
+/// stays in one place.
 template <class HOf>
 void relax_into_open(ClassedArena& arena, OpenQueue& open,
                      CanonicalKey&& key, SlotState&& child, std::int64_t g2,

@@ -42,13 +42,12 @@ struct WorkflowOptions {
   /// (via ExactSynthesisOptions::time_budget_seconds), so a runaway A*
   /// aborts mid-search and the circuit-producing fallbacks still run.
   double time_budget_seconds = 0.0;
-  /// Worker threads for the exact tail's kernel searches. 1 keeps the
-  /// serial kernels; any other value (0 = all hardware threads)
-  /// overrides exact.astar.num_threads and exact.beam.num_threads, so
-  /// every exact-tail search runs the sharded HDA* kernel
-  /// (core/parallel_astar.hpp) and the beam fallback runs the sharded
-  /// parallel beam (core/parallel_beam.hpp) — beam results stay
-  /// bit-identical to the serial descent at every thread count.
+  /// Worker threads for the exact tail's kernel searches. 1 keeps
+  /// exact.astar.num_threads and exact.beam.num_threads as configured
+  /// (one shard on the calling thread by default); any other value
+  /// (0 = all hardware threads) overrides both, so every exact-tail A*
+  /// search and beam fallback runs that many shards — beam results stay
+  /// bit-identical at every thread count.
   int num_threads = 1;
   /// Optional target device. When set (and not all-to-all), the workflow
   /// becomes coupling-aware end to end: the exact tail hosts the

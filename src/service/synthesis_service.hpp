@@ -8,9 +8,9 @@
 // coupling, thread counts and budgets are honored — the service only
 // injects its cache into each request's WorkflowOptions. Request- and
 // search-level parallelism compose: a request carrying
-// WorkflowOptions::num_threads > 1 runs its exact-tail searches on the
-// sharded HDA* kernel and the sharded parallel beam inside its worker,
-// so a small batch of heavy requests can still saturate the machine.
+// WorkflowOptions::num_threads > 1 runs its exact-tail A* and beam
+// searches on that many shards inside its worker, so a small batch of
+// heavy requests can still saturate the machine.
 
 #include <atomic>
 #include <cstdint>

@@ -49,7 +49,9 @@ QuantumState QuantumState::from_dense(int num_qubits,
   }
   std::vector<Term> terms;
   for (std::size_t i = 0; i < amplitudes.size(); ++i) {
-    if (std::abs(amplitudes[i]) > kAmplitudeEpsilon) {
+    // Non-finite entries pass through so the constructor rejects them.
+    if (!std::isfinite(amplitudes[i]) ||
+        std::abs(amplitudes[i]) > kAmplitudeEpsilon) {
       terms.push_back(Term{static_cast<BasisIndex>(i), amplitudes[i]});
     }
   }
@@ -69,6 +71,13 @@ void QuantumState::normalize_and_check() {
       merged.push_back(t);
     }
   }
+  // NaN slips through every comparison below, and inf (including a sum
+  // of huge duplicates) normalizes everything else to zero.
+  for (const Term& t : merged) {
+    if (!std::isfinite(t.amplitude)) {
+      throw std::invalid_argument("QuantumState: non-finite amplitude");
+    }
+  }
   std::erase_if(merged, [](const Term& t) {
     return std::abs(t.amplitude) <= kAmplitudeEpsilon;
   });
@@ -76,10 +85,25 @@ void QuantumState::normalize_and_check() {
   if (terms_.empty()) {
     throw std::invalid_argument("QuantumState: empty support");
   }
-  double norm2 = 0.0;
-  for (const Term& t : terms_) norm2 += t.amplitude * t.amplitude;
+  const auto sum_of_squares = [this] {
+    double sum = 0.0;
+    for (const Term& t : terms_) sum += t.amplitude * t.amplitude;
+    return sum;
+  };
+  double norm2 = sum_of_squares();
   if (norm2 <= kAmplitudeEpsilon) {
     throw std::invalid_argument("QuantumState: zero norm");
+  }
+  if (std::isinf(norm2)) {
+    // Finite amplitudes whose squares overflow: divide by the largest
+    // magnitude first. Inputs in range keep the plain sum, so their
+    // normalized amplitudes stay bit-identical.
+    double scale = 0.0;
+    for (const Term& t : terms_) {
+      scale = std::max(scale, std::abs(t.amplitude));
+    }
+    for (Term& t : terms_) t.amplitude /= scale;
+    norm2 = sum_of_squares();
   }
   const double inv = 1.0 / std::sqrt(norm2);
   for (Term& t : terms_) t.amplitude *= inv;

@@ -35,8 +35,8 @@ class QuantumState {
   explicit QuantumState(int num_qubits);
 
   /// Build from terms; normalizes, merges duplicate indices (amplitudes add)
-  /// and drops zero terms. Throws std::invalid_argument on empty support or
-  /// out-of-range indices.
+  /// and drops zero terms. Throws std::invalid_argument on empty support,
+  /// out-of-range indices or a NaN/infinite amplitude.
   QuantumState(int num_qubits, std::vector<Term> terms);
 
   /// Build from a dense amplitude vector of size 2^n.

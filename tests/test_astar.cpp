@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "arch/coupling.hpp"
 #include "circuit/lowering.hpp"
 #include "sim/verifier.hpp"
 #include "state/state_factory.hpp"
@@ -148,6 +153,98 @@ TEST(AStar, RandomUniformStatesAlwaysVerify) {
     EXPECT_TRUE(res.optimal);
     verify_preparation_or_throw(res.circuit, target);
     EXPECT_EQ(count_cnots_after_lowering(res.circuit), res.cnot_cost);
+  }
+}
+
+TEST(AStar, ResultsUnchangedAfterShardedPort) {
+  // Frozen from the serial kernel that one-shard HDA* replaced: at one
+  // thread the sharded search must pop, relax and count exactly as that
+  // loop did, so any drift in cost, certificate or search effort fails
+  // here. Covers certified runs, a node-budget abort and routed costs on
+  // a line device.
+  struct Snapshot {
+    QuantumState target;
+    SearchOptions options;
+    bool found;
+    std::int64_t cost;
+    bool optimal;
+    std::uint64_t expanded;
+    std::uint64_t generated;
+    std::uint64_t classes;
+    std::uint64_t stale_pops;
+    std::uint64_t peak_open;
+  };
+  SearchOptions tight;
+  tight.node_budget = 300;
+  SearchOptions line4;
+  line4.coupling = std::make_shared<CouplingGraph>(CouplingGraph::line(4));
+  std::vector<Snapshot> snapshots;
+  snapshots.push_back({make_ghz(5), {}, true, 4, true, 4, 660, 5, 0, 1});
+  snapshots.push_back({make_w(4), {}, true, 7, true, 20, 1763, 34, 1, 35});
+  snapshots.push_back(
+      {make_dicke(4, 2), {}, true, 6, true, 13, 1228, 74, 0, 83});
+  snapshots.push_back({make_uniform(3, {0b000, 0b011, 0b101, 0b110}), {},
+                       true, 2, true, 2, 60, 5, 0, 3});
+  Rng rng(2024);  // the seed of AStar.RandomUniformStatesAlwaysVerify
+  const auto next_random = [&rng] {
+    const int n = 3 + static_cast<int>(rng.next_below(2));
+    const int m = 2 + static_cast<int>(rng.next_below(7));
+    return make_random_uniform(n, m, rng);
+  };
+  snapshots.push_back({next_random(), {}, true, 6, true, 10, 450, 76, 0, 93});
+  snapshots.push_back({next_random(), {}, true, 1, true, 1, 24, 3, 0, 2});
+  snapshots.push_back(
+      {next_random(), {}, true, 9, true, 229, 24916, 706, 8, 1109});
+  snapshots.push_back({next_random(), {}, true, 0, true, 0, 0, 1, 0, 1});
+  snapshots.push_back(
+      {next_random(), {}, true, 9, true, 275, 31379, 1652, 13, 2579});
+  snapshots.push_back({next_random(), {}, true, 6, true, 10, 450, 76, 0, 91});
+  snapshots.push_back(
+      {make_dicke(4, 2), tight, false, -1, false, 4, 324, 34, 0, 35});
+  snapshots.push_back({make_w(4), line4, true, 7, true, 71, 6322, 228, 0, 430});
+  snapshots.push_back(
+      {make_dicke(4, 2), line4, true, 7, true, 74, 7236, 778, 4, 1193});
+  for (const Snapshot& snap : snapshots) {
+    const std::string ctx = snap.target.to_string();
+    const SynthesisResult res = solve(snap.target, snap.options);
+    ASSERT_EQ(res.found, snap.found) << ctx;
+    EXPECT_EQ(res.cnot_cost, snap.cost) << ctx;
+    EXPECT_EQ(res.optimal, snap.optimal) << ctx;
+    EXPECT_EQ(res.stats.completed, snap.found) << ctx;
+    EXPECT_EQ(res.stats.budget_exhausted, !snap.found) << ctx;
+    EXPECT_EQ(res.stats.nodes_expanded, snap.expanded) << ctx;
+    EXPECT_EQ(res.stats.nodes_generated, snap.generated) << ctx;
+    EXPECT_EQ(res.stats.classes_stored, snap.classes) << ctx;
+    EXPECT_EQ(res.stats.stale_pops, snap.stale_pops) << ctx;
+    EXPECT_EQ(res.stats.sum_shard_peak_open_size, snap.peak_open) << ctx;
+    if (res.found) verify_preparation_or_throw(res.circuit, snap.target);
+  }
+}
+
+TEST(AStar, OneThreadNeverReturnsAnAnytimeIncumbent) {
+  // The budget rule at one shard: the goal pop is its own certificate, so
+  // a budgeted search either certifies or reports not-found — whether the
+  // node budget or the wall deadline runs out, and wherever it falls.
+  const QuantumState target = make_dicke(4, 2);
+  for (std::uint64_t budget = 1; budget <= 1300; budget += 37) {
+    SearchOptions options;
+    options.node_budget = budget;
+    const SynthesisResult res = solve(target, options);
+    EXPECT_EQ(res.found, res.stats.completed) << "node_budget=" << budget;
+    EXPECT_EQ(res.found, res.optimal) << "node_budget=" << budget;
+    EXPECT_NE(res.found, res.stats.budget_exhausted)
+        << "node_budget=" << budget;
+  }
+  for (const double seconds : {1e-6, 1e-4, 1e-3, 3e-3, 1e-2}) {
+    SearchOptions options;
+    options.time_budget_seconds = seconds;
+    const SynthesisResult res = solve(target, options);
+    EXPECT_EQ(res.found, res.stats.completed) << "seconds=" << seconds;
+    EXPECT_EQ(res.found, res.optimal) << "seconds=" << seconds;
+    // Dicke(4,2) has a solution, so a run that stops without one was cut
+    // by the deadline, even when the cut fell inside an expansion.
+    EXPECT_NE(res.found, res.stats.budget_exhausted) << "seconds=" << seconds;
+    if (res.found) EXPECT_EQ(res.cnot_cost, 6);
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "circuit/lowering.hpp"
 #include "core/exact_synthesizer.hpp"
 #include "sim/verifier.hpp"
@@ -105,31 +110,43 @@ TEST(Beam, ResultsUnchangedAfterSearchCorePort) {
   // at level entry (a few more classes stored, but pruning no longer
   // depends on within-level discovery order, which is what lets the
   // parallel beam match bit for bit), and (c) orders candidates by
-  // (score, h, canonical key).
+  // (score, h, canonical key). The search effort and the circuit's gate
+  // count and depth were frozen from the serial descent that the one-shard
+  // sharded beam replaced.
   struct Snapshot {
     QuantumState target;
     BeamOptions options;
     std::int64_t cost;
     std::uint64_t classes;
+    std::uint64_t expanded;
+    std::uint64_t generated;
+    std::size_t gates;
+    std::size_t depth;
   };
   BeamOptions wide;
   wide.beam_width = 256;
   Rng rng77(77);
   Rng rng78(78);
   std::vector<Snapshot> snapshots;
-  snapshots.push_back({make_w(3), {}, 4, 7});
-  snapshots.push_back({make_dicke(4, 2), {}, 6, 365});
-  snapshots.push_back({make_dicke(5, 1), wide, 10, 501});
-  snapshots.push_back({make_uniform(3, {0, 3, 5, 6}), {}, 2, 8});
-  snapshots.push_back({make_random_uniform(4, 6, rng77), {}, 8, 331});
-  snapshots.push_back({make_random_uniform(5, 8, rng78), {}, 12, 23192});
+  snapshots.push_back({make_w(3), {}, 4, 7, 7, 221, 5, 4});
+  snapshots.push_back({make_dicke(4, 2), {}, 6, 365, 339, 35602, 8, 5});
+  snapshots.push_back({make_dicke(5, 1), wide, 10, 501, 597, 149510, 9, 8});
+  snapshots.push_back({make_uniform(3, {0, 3, 5, 6}), {}, 2, 8, 3, 92, 4, 3});
+  snapshots.push_back(
+      {make_random_uniform(4, 6, rng77), {}, 8, 331, 283, 28473, 6, 5});
+  snapshots.push_back(
+      {make_random_uniform(5, 8, rng78), {}, 12, 23192, 2689, 851386, 10, 7});
   for (const Snapshot& snap : snapshots) {
+    const std::string ctx = snap.target.to_string();
     const BeamSynthesizer beam(snap.options);
     const SynthesisResult res = beam.synthesize(snap.target);
-    ASSERT_TRUE(res.found) << snap.target.to_string();
-    EXPECT_EQ(res.cnot_cost, snap.cost) << snap.target.to_string();
-    EXPECT_EQ(res.stats.classes_stored, snap.classes)
-        << snap.target.to_string();
+    ASSERT_TRUE(res.found) << ctx;
+    EXPECT_EQ(res.cnot_cost, snap.cost) << ctx;
+    EXPECT_EQ(res.stats.classes_stored, snap.classes) << ctx;
+    EXPECT_EQ(res.stats.nodes_expanded, snap.expanded) << ctx;
+    EXPECT_EQ(res.stats.nodes_generated, snap.generated) << ctx;
+    EXPECT_EQ(res.circuit.size(), snap.gates) << ctx;
+    EXPECT_EQ(res.circuit.depth(), snap.depth) << ctx;
     verify_preparation_or_throw(res.circuit, snap.target);
   }
 }

@@ -107,7 +107,7 @@ TEST(EquivalenceCache, HdaStarSharesTheCache) {
   auto cache = std::make_shared<EquivalenceCache>();
   SearchOptions options;
   options.cache = cache;
-  options.num_threads = 2;  // dispatches to the sharded kernel
+  options.num_threads = 2;  // two HDA* shards share one probe
   const AStarSynthesizer synth(options);
   const SlotState target = *SlotState::from_state(make_dicke(4, 2));
   const SynthesisResult cold = synth.synthesize(target);
@@ -222,7 +222,7 @@ TEST(EquivalenceCache, ConcurrentMixedBatchesStayBitIdentical) {
   batch.push_back(*SlotState::from_state(make_dicke(4, 2)));
   batch.push_back(*SlotState::from_state(make_w(4)));
 
-  // Cold reference results: no cache, serial kernel (deterministic).
+  // Cold reference results: no cache, one thread (deterministic).
   std::vector<SynthesisResult> reference;
   for (const SlotState& t : batch) {
     reference.push_back(AStarSynthesizer().synthesize(t));

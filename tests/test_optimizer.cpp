@@ -1,9 +1,8 @@
-#include "circuit/optimizer.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "circuit/pass_pipeline.hpp"
 #include "sim/statevector.hpp"
 #include "util/rng.hpp"
 
@@ -29,7 +28,7 @@ TEST(Optimizer, DropsZeroRotations) {
   c.append(Gate::ry(0, 0.0));
   c.append(Gate::cry(0, 1, 1e-15));
   c.append(Gate::ry(1, 0.5));
-  const Circuit o = optimize(c);
+  const Circuit o = optimize_circuit(c);
   EXPECT_EQ(o.size(), 1u);
   EXPECT_EQ(o.gates()[0].kind(), GateKind::kRy);
 }
@@ -40,11 +39,11 @@ TEST(Optimizer, CancelsAdjacentCnotPairs) {
   c.append(Gate::cnot(0, 1));
   c.append(Gate::x(2));
   c.append(Gate::x(2));
-  OptimizerStats stats;
-  const Circuit o = optimize(c, {}, &stats);
+  PipelineReport report;
+  const Circuit o = optimize_circuit(c, {}, &report);
   EXPECT_EQ(o.size(), 0u);
-  EXPECT_EQ(stats.cnots_removed, 2);
-  EXPECT_GE(stats.passes, 1);
+  EXPECT_EQ(report.cnot_cost_delta(), 2);
+  EXPECT_GE(report.iterations, 1);
 }
 
 TEST(Optimizer, DoesNotCancelAcrossInterferingGates) {
@@ -52,7 +51,7 @@ TEST(Optimizer, DoesNotCancelAcrossInterferingGates) {
   c.append(Gate::cnot(0, 1));
   c.append(Gate::ry(1, 0.3));  // touches the target wire
   c.append(Gate::cnot(0, 1));
-  const Circuit o = optimize(c);
+  const Circuit o = optimize_circuit(c);
   EXPECT_EQ(o.size(), 3u);
 }
 
@@ -61,7 +60,7 @@ TEST(Optimizer, CancelsAcrossUnrelatedWires) {
   c.append(Gate::cnot(0, 1));
   c.append(Gate::ry(2, 0.3));  // disjoint wire: commutes trivially
   c.append(Gate::cnot(0, 1));
-  const Circuit o = optimize(c);
+  const Circuit o = optimize_circuit(c);
   EXPECT_EQ(o.size(), 1u);
   EXPECT_EQ(o.gates()[0].kind(), GateKind::kRy);
 }
@@ -72,7 +71,7 @@ TEST(Optimizer, FusesRotations) {
   c.append(Gate::ry(0, 0.6));
   c.append(Gate::cry(0, 1, 0.2));
   c.append(Gate::cry(0, 1, -0.2));
-  const Circuit o = optimize(c);
+  const Circuit o = optimize_circuit(c);
   ASSERT_EQ(o.size(), 1u);
   EXPECT_NEAR(o.gates()[0].theta(), 1.0, 1e-12);
 }
@@ -81,7 +80,7 @@ TEST(Optimizer, PolarityMatters) {
   Circuit c(2);
   c.append(Gate::cnot(0, 1, true));
   c.append(Gate::cnot(0, 1, false));
-  const Circuit o = optimize(c);
+  const Circuit o = optimize_circuit(c);
   EXPECT_EQ(o.size(), 2u);  // different literals: no cancellation
 }
 
@@ -89,7 +88,7 @@ TEST(Optimizer, ChainCancellation) {
   // X X X X collapses fully across repeated passes.
   Circuit c(1);
   for (int i = 0; i < 4; ++i) c.append(Gate::x(0));
-  EXPECT_EQ(optimize(c).size(), 0u);
+  EXPECT_EQ(optimize_circuit(c).size(), 0u);
 }
 
 TEST(Optimizer, PreservesUnitaryOnRandomCircuits) {
@@ -117,7 +116,7 @@ TEST(Optimizer, PreservesUnitaryOnRandomCircuits) {
           break;
       }
     }
-    const Circuit o = optimize(c);
+    const Circuit o = optimize_circuit(c);
     EXPECT_LE(o.size(), c.size());
     expect_same_unitary(c, o, n);
   }
@@ -127,11 +126,11 @@ TEST(Optimizer, UcryFusion) {
   Circuit c(2);
   c.append(Gate::ucry({0}, 1, {0.3, -0.2}));
   c.append(Gate::ucry({0}, 1, {-0.3, 0.2}));
-  EXPECT_EQ(optimize(c).size(), 0u);
+  EXPECT_EQ(optimize_circuit(c).size(), 0u);
   Circuit d(2);
   d.append(Gate::ucry({0}, 1, {0.3, -0.2}));
   d.append(Gate::ucry({0}, 1, {0.1, 0.0}));
-  const Circuit od = optimize(d);
+  const Circuit od = optimize_circuit(d);
   ASSERT_EQ(od.size(), 1u);
   EXPECT_NEAR(od.gates()[0].angles()[0], 0.4, 1e-12);
 }

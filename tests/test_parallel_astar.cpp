@@ -1,11 +1,11 @@
-#include "core/parallel_astar.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "arch/coupling.hpp"
+#include "core/astar.hpp"
 #include "core/search_core.hpp"
 #include "circuit/lowering.hpp"
 #include "sim/verifier.hpp"
@@ -15,9 +15,9 @@
 namespace qsp {
 namespace {
 
-/// The fixture corpus of test_astar.cpp: every state the serial kernel
-/// certifies, so the sharded kernel must reproduce the exact cnot_cost
-/// and the `optimal` flag on each of them.
+/// The fixture corpus of test_astar.cpp: every state the one-thread search
+/// certifies, so every other shard count must reproduce the exact
+/// cnot_cost and the `optimal` flag on each of them.
 std::vector<QuantumState> certificate_corpus() {
   std::vector<QuantumState> corpus;
   corpus.push_back(QuantumState(3));                                // ground
@@ -40,15 +40,17 @@ std::vector<QuantumState> certificate_corpus() {
 }
 
 TEST(ParallelAStar, MatchesSerialCertificateAcrossThreadCounts) {
+  // The serial reference is the one-thread search: a single shard on the
+  // calling thread. The certificate is invariant in the shard count.
   const AStarSynthesizer serial;
   for (const QuantumState& target : certificate_corpus()) {
     const SynthesisResult ref = serial.synthesize(target);
     ASSERT_TRUE(ref.found) << target.to_string();
-    for (const int threads : {1, 2, 8}) {
+    EXPECT_TRUE(ref.optimal) << target.to_string();
+    for (const int threads : {2, 8}) {
       SearchOptions options;
       options.num_threads = threads;
-      const ParallelAStarSynthesizer parallel(options);
-      const SynthesisResult res = parallel.synthesize(target);
+      const SynthesisResult res = AStarSynthesizer(options).synthesize(target);
       ASSERT_TRUE(res.found)
           << target.to_string() << " threads=" << threads;
       EXPECT_EQ(res.cnot_cost, ref.cnot_cost)
@@ -62,25 +64,11 @@ TEST(ParallelAStar, MatchesSerialCertificateAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelAStar, AStarSynthesizerDispatchesOnNumThreads) {
-  // The public facade routes to the sharded kernel when num_threads != 1
-  // and must report the same certificate either way.
-  const QuantumState target = make_dicke(4, 2);
-  SearchOptions options;
-  options.num_threads = 4;
-  const SynthesisResult res = AStarSynthesizer(options).synthesize(target);
-  ASSERT_TRUE(res.found);
-  EXPECT_TRUE(res.optimal);
-  EXPECT_EQ(res.cnot_cost, 6);
-  verify_preparation_or_throw(res.circuit, target);
-}
-
 TEST(ParallelAStar, ZeroThreadsMeansAllHardwareThreads) {
   EXPECT_GE(resolve_num_threads(0), 1);
   SearchOptions options;
   options.num_threads = 0;
-  const SynthesisResult res =
-      ParallelAStarSynthesizer(options).synthesize(make_ghz(3));
+  const SynthesisResult res = AStarSynthesizer(options).synthesize(make_ghz(3));
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.cnot_cost, 2);
   EXPECT_TRUE(res.optimal);
@@ -90,7 +78,7 @@ TEST(ParallelAStar, StatsAggregateAcrossShards) {
   SearchOptions options;
   options.num_threads = 8;
   const SynthesisResult res =
-      ParallelAStarSynthesizer(options).synthesize(make_dicke(4, 2));
+      AStarSynthesizer(options).synthesize(make_dicke(4, 2));
   ASSERT_TRUE(res.found);
   EXPECT_TRUE(res.stats.completed);
   EXPECT_GT(res.stats.nodes_expanded, 0u);
@@ -99,7 +87,7 @@ TEST(ParallelAStar, StatsAggregateAcrossShards) {
   EXPECT_GT(res.stats.sum_shard_peak_open_size, 0u);
   // Every push is a generated arc (plus the root), and per-shard peaks
   // bound per-shard pushes, so the sum obeys the same global bound the
-  // serial kernel's true peak does.
+  // one-shard true peak does.
   EXPECT_LE(res.stats.sum_shard_peak_open_size,
             res.stats.nodes_generated + 1);
 }
@@ -128,29 +116,54 @@ TEST(ParallelAStar, BudgetExhaustionReportsNotFound) {
   tight.num_threads = 4;
   tight.node_budget = 10;
   const SynthesisResult res =
-      ParallelAStarSynthesizer(tight).synthesize(make_dicke(4, 2));
+      AStarSynthesizer(tight).synthesize(make_dicke(4, 2));
   EXPECT_FALSE(res.found);
   EXPECT_FALSE(res.stats.completed);
   EXPECT_TRUE(res.stats.budget_exhausted);
 }
 
+TEST(ParallelAStar, WallDeadlineNeverCertifiesATruncatedExpansion) {
+  // A deadline that cuts an expansion short loses successors, so the
+  // search must end aborted rather than let an idle shard certify an
+  // incumbent found elsewhere. Every outcome is therefore either a
+  // certified optimum or a budget abort, wherever the deadline falls.
+  const QuantumState target = make_dicke(4, 2);
+  for (const int threads : {1, 2, 8}) {
+    for (double seconds = 1e-5; seconds < 3e-2; seconds *= 1.6) {
+      SearchOptions options;
+      options.num_threads = threads;
+      options.time_budget_seconds = seconds;
+      const SynthesisResult res =
+          AStarSynthesizer(options).synthesize(target);
+      const std::string ctx = "threads=" + std::to_string(threads) +
+                              " seconds=" + std::to_string(seconds);
+      EXPECT_NE(res.stats.completed, res.stats.budget_exhausted) << ctx;
+      EXPECT_EQ(res.optimal, res.stats.completed) << ctx;
+      if (res.stats.completed) EXPECT_EQ(res.cnot_cost, 6) << ctx;
+      if (res.found) verify_preparation_or_throw(res.circuit, target);
+    }
+  }
+}
+
 TEST(ParallelAStar, CouplingConstrainedCostsMatchSerial) {
-  // The canonicalization demotion on incomplete couplings must behave
-  // identically in both kernels (routed costs included).
+  // The canonicalization demotion on incomplete couplings (routed costs
+  // included) must not depend on the shard count.
   SearchOptions serial_options;
   serial_options.coupling =
       std::make_shared<CouplingGraph>(CouplingGraph::line(3));
-  SearchOptions parallel_options = serial_options;
-  parallel_options.num_threads = 4;
   for (const QuantumState& target :
        {make_ghz(3), make_uniform(3, {0b000, 0b011, 0b101, 0b110})}) {
     const SynthesisResult ref =
         AStarSynthesizer(serial_options).synthesize(target);
-    const SynthesisResult res =
-        ParallelAStarSynthesizer(parallel_options).synthesize(target);
-    ASSERT_TRUE(ref.found && res.found);
-    EXPECT_EQ(res.cnot_cost, ref.cnot_cost);
-    EXPECT_EQ(res.optimal, ref.optimal);
+    ASSERT_TRUE(ref.found);
+    for (const int threads : {2, 8}) {
+      SearchOptions options = serial_options;
+      options.num_threads = threads;
+      const SynthesisResult res = AStarSynthesizer(options).synthesize(target);
+      ASSERT_TRUE(res.found) << "threads=" << threads;
+      EXPECT_EQ(res.cnot_cost, ref.cnot_cost) << "threads=" << threads;
+      EXPECT_EQ(res.optimal, ref.optimal) << "threads=" << threads;
+    }
   }
 }
 
@@ -158,7 +171,7 @@ TEST(ParallelAStar, ThrowsOnNonSlotState) {
   const QuantumState signed_state(2, {Term{0, 1.0}, Term{3, -1.0}});
   SearchOptions options;
   options.num_threads = 2;
-  const ParallelAStarSynthesizer synth(options);
+  const AStarSynthesizer synth(options);
   EXPECT_THROW(synth.synthesize(signed_state), std::invalid_argument);
 }
 

@@ -1,12 +1,12 @@
-#include "core/parallel_beam.hpp"
-
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "arch/coupling.hpp"
 #include "circuit/lowering.hpp"
+#include "core/beam.hpp"
 #include "core/exact_synthesizer.hpp"
 #include "sim/verifier.hpp"
 #include "state/state_factory.hpp"
@@ -15,9 +15,9 @@
 namespace qsp {
 namespace {
 
-/// The beam snapshot corpus of test_beam.cpp plus a few wider states:
-/// everything the serial descent handles, so the sharded beam must
-/// reproduce each result bit for bit at every thread count.
+/// The beam snapshot corpus of test_beam.cpp plus a few wider states: the
+/// one-thread descent is the reference, and every other thread count must
+/// reproduce each result bit for bit.
 struct CorpusEntry {
   QuantumState target;
   BeamOptions options;
@@ -64,32 +64,24 @@ void expect_identical(const SynthesisResult& ref, const SynthesisResult& res,
 }
 
 TEST(ParallelBeam, BitIdenticalToSerialAcrossThreadCounts) {
+  // The serial reference is the one-thread descent: a single shard on the
+  // calling thread.
   for (const CorpusEntry& entry : determinism_corpus()) {
     const BeamSynthesizer serial(entry.options);
     const SynthesisResult ref = serial.synthesize(entry.target);
     ASSERT_TRUE(ref.found) << entry.target.to_string();
     EXPECT_FALSE(ref.optimal);
+    EXPECT_FALSE(ref.stats.budget_exhausted);
     verify_preparation_or_throw(ref.circuit, entry.target);
-    for (const int threads : {1, 2, 8}) {
+    EXPECT_EQ(count_cnots_after_lowering(ref.circuit), ref.cnot_cost);
+    for (const int threads : {2, 8}) {
       BeamOptions options = entry.options;
       options.num_threads = threads;
-      const ParallelBeamSynthesizer parallel(options);
-      const SynthesisResult res = parallel.synthesize(entry.target);
+      const SynthesisResult res =
+          BeamSynthesizer(options).synthesize(entry.target);
       expect_identical(ref, res, entry.target, threads);
-      EXPECT_EQ(count_cnots_after_lowering(res.circuit), res.cnot_cost);
     }
   }
-}
-
-TEST(ParallelBeam, BeamSynthesizerDispatchesOnNumThreads) {
-  // The public facade routes to the sharded kernel when num_threads != 1
-  // and must return the serial result either way.
-  const QuantumState target = make_dicke(4, 2);
-  const SynthesisResult ref = BeamSynthesizer().synthesize(target);
-  BeamOptions options;
-  options.num_threads = 4;
-  const SynthesisResult res = BeamSynthesizer(options).synthesize(target);
-  expect_identical(ref, res, target, 4);
 }
 
 TEST(ParallelBeam, ZeroThreadsMeansAllHardwareThreads) {
@@ -97,14 +89,13 @@ TEST(ParallelBeam, ZeroThreadsMeansAllHardwareThreads) {
   options.num_threads = 0;
   const QuantumState target = make_w(3);
   const SynthesisResult ref = BeamSynthesizer().synthesize(target);
-  const SynthesisResult res =
-      ParallelBeamSynthesizer(options).synthesize(target);
+  const SynthesisResult res = BeamSynthesizer(options).synthesize(target);
   expect_identical(ref, res, target, 0);
 }
 
 TEST(ParallelBeam, CouplingConstrainedMatchesSerial) {
   // The canonicalization demotion and routed arc costs on incomplete
-  // couplings must behave identically in both kernels.
+  // couplings must not depend on the shard count.
   BeamOptions serial_options;
   serial_options.coupling =
       std::make_shared<CouplingGraph>(CouplingGraph::line(3));
@@ -116,8 +107,7 @@ TEST(ParallelBeam, CouplingConstrainedMatchesSerial) {
     for (const int threads : {2, 8}) {
       BeamOptions options = serial_options;
       options.num_threads = threads;
-      const SynthesisResult res =
-          ParallelBeamSynthesizer(options).synthesize(target);
+      const SynthesisResult res = BeamSynthesizer(options).synthesize(target);
       expect_identical(ref, res, target, threads);
     }
   }
@@ -127,7 +117,7 @@ TEST(ParallelBeam, GroundIsImmediate) {
   BeamOptions options;
   options.num_threads = 4;
   const SynthesisResult res =
-      ParallelBeamSynthesizer(options).synthesize(QuantumState(4));
+      BeamSynthesizer(options).synthesize(QuantumState(4));
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.cnot_cost, 0);
   EXPECT_FALSE(res.stats.budget_exhausted);
@@ -137,7 +127,7 @@ TEST(ParallelBeam, ThrowsOnNonSlotState) {
   const QuantumState signed_state(2, {Term{0, 1.0}, Term{3, -1.0}});
   BeamOptions options;
   options.num_threads = 2;
-  const ParallelBeamSynthesizer synth(options);
+  const BeamSynthesizer synth(options);
   EXPECT_THROW(synth.synthesize(signed_state), std::invalid_argument);
 }
 
@@ -148,21 +138,21 @@ TEST(ParallelBeam, BudgetTruncationIsFlagged) {
   tight.num_threads = 4;
   tight.time_budget_seconds = 1e-9;
   const SynthesisResult res =
-      ParallelBeamSynthesizer(tight).synthesize(make_dicke(5, 2));
+      BeamSynthesizer(tight).synthesize(make_dicke(5, 2));
   EXPECT_TRUE(res.stats.budget_exhausted);
   // And an unconstrained run of the same instance is not flagged.
   BeamOptions free_run;
   free_run.num_threads = 4;
   free_run.beam_width = 64;
   const SynthesisResult full =
-      ParallelBeamSynthesizer(free_run).synthesize(make_dicke(5, 2));
+      BeamSynthesizer(free_run).synthesize(make_dicke(5, 2));
   EXPECT_FALSE(full.stats.budget_exhausted);
 }
 
 TEST(ParallelBeam, ExactSynthesizerFallbackRunsParallelBeam) {
   // The facade's fallback path must honor beam.num_threads and still
-  // match the serial fallback bit for bit (and keep the budget flag from
-  // the aborted A* stage).
+  // match the one-thread fallback bit for bit (and keep the budget flag
+  // from the aborted A* stage).
   ExactSynthesisOptions serial_options;
   serial_options.astar.node_budget = 50;  // force A* failure
   serial_options.beam.beam_width = 128;

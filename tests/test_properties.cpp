@@ -8,7 +8,7 @@
 #include <tuple>
 
 #include "circuit/lowering.hpp"
-#include "circuit/optimizer.hpp"
+#include "circuit/pass_pipeline.hpp"
 #include "core/astar.hpp"
 #include "core/canonical.hpp"
 #include "core/heuristic.hpp"
@@ -98,7 +98,7 @@ TEST_P(UniformStateProperty, OptimizerSoundOnWorkflowCircuits) {
   const QuantumState state = target();
   const MethodRun run = run_method(Method::kOurs, state);
   ASSERT_TRUE(run.ok);
-  const Circuit optimized = optimize(run.circuit);
+  const Circuit optimized = optimize_circuit(run.circuit);
   EXPECT_LE(optimized.size(), run.circuit.size());
   if (state.num_qubits() <= 10) {
     verify_preparation_or_throw(optimized, state);

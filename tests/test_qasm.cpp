@@ -123,6 +123,22 @@ TEST(Qasm, FromQasmRejectsMalformedInput) {
   EXPECT_THROW(from_qasm(""), std::invalid_argument);
   // Out-of-register references are rejected by the circuit itself.
   EXPECT_THROW(from_qasm("qreg q[2];\nx q[5];\n"), std::invalid_argument);
+  // Indices past the int range must not wrap into valid wires, and an
+  // oversized register must not read as empty.
+  EXPECT_THROW(from_qasm("qreg q[2];\nx q[4294967296];\n"),
+               std::invalid_argument);
+  EXPECT_THROW(from_qasm("qreg q[2];\ncx q[4294967297],q[0];\n"),
+               std::invalid_argument);
+  try {
+    from_qasm("qreg q[4000000000];\n");
+    ADD_FAILURE() << "oversized qreg accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the 24-qubit limit"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("in line 1:"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Qasm, FromQasmSkipsHeadersAndComments) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace qsp {
 namespace {
@@ -21,6 +23,10 @@ TEST(QuantumState, NormalizesInput) {
   const QuantumState s(2, {Term{0, 3.0}, Term{3, 4.0}});
   EXPECT_NEAR(s.amplitude(0), 0.6, 1e-12);
   EXPECT_NEAR(s.amplitude(3), 0.8, 1e-12);
+  // Squares of 1e200 overflow a plain sum; the direction must survive.
+  const QuantumState huge(2, {Term{0, 3e200}, Term{3, 4e200}});
+  EXPECT_NEAR(huge.amplitude(0), 0.6, 1e-12);
+  EXPECT_NEAR(huge.amplitude(3), 0.8, 1e-12);
 }
 
 TEST(QuantumState, MergesDuplicateIndices) {
@@ -41,6 +47,17 @@ TEST(QuantumState, InvalidInputsThrow) {
   EXPECT_THROW(QuantumState(2, {}), std::invalid_argument);
   EXPECT_THROW(QuantumState(2, {Term{4, 1.0}}), std::invalid_argument);
   EXPECT_THROW(QuantumState(2, {Term{1, 0.0}}), std::invalid_argument);
+  // Non-finite amplitudes: NaN passes every magnitude comparison and inf
+  // normalizes the rest to zero, so both must be rejected up front.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(QuantumState(9, {Term{0, 1.0}, Term{5, bad}}),
+                 std::invalid_argument);
+    std::vector<double> dense(4, 0.5);
+    dense[2] = bad;
+    EXPECT_THROW(QuantumState::from_dense(2, dense), std::invalid_argument);
+  }
 }
 
 TEST(QuantumState, DenseRoundTrip) {

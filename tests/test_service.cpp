@@ -227,9 +227,9 @@ TEST(SynthesisService, ConcurrentIdenticalRequestsDeduplicateInFlight) {
 
 TEST(SynthesisService, SearchLevelParallelismComposesWithWorkerPool) {
   // Requests carrying WorkflowOptions::num_threads run their exact-tail
-  // searches on the sharded kernels inside a service worker; the beam
-  // kernel's thread-count determinism means the answers are bit-identical
-  // to a serial request for the same state. share_cache is off so both
+  // searches on that many shards inside a service worker; the beam's
+  // thread-count determinism means the answers are bit-identical to a
+  // one-thread request for the same state. share_cache is off so both
   // requests really search.
   SynthesisServiceOptions service_options;
   service_options.num_workers = 2;

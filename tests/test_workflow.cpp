@@ -376,9 +376,9 @@ TEST(Workflow, UnconstrainedRunIsNotBudgetExhausted) {
 
 TEST(Workflow, NumThreadsReachesBeamFallback) {
   // WorkflowOptions::num_threads must also drive the exact tail's beam
-  // fallback (the sharded parallel beam), and the result must stay
-  // bit-identical to the single-threaded workflow: the beam kernel is
-  // deterministic across thread counts.
+  // fallback, and the result must stay bit-identical to the
+  // single-threaded workflow: the beam is deterministic across thread
+  // counts.
   WorkflowOptions serial_options;
   serial_options.exact_max_qubits = 5;
   serial_options.exact.astar.node_budget = 50;  // force the beam fallback
