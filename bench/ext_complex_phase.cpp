@@ -9,8 +9,8 @@
 #include "circuit/lowering.hpp"
 #include "circuit/pass_pipeline.hpp"
 #include "flow/solver.hpp"
-#include "phase/complex_statevector.hpp"
 #include "phase/phase_oracle.hpp"
+#include "sim/verifier.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -45,7 +45,7 @@ int main() {
                     : -1;
       const std::int64_t total =
           count_cnots_after_lowering(optimize_circuit(res.circuit), elide);
-      const bool ok = verify_complex_preparation(res.circuit, target);
+      const bool ok = verify_preparation(res.circuit, target).ok;
       if (!ok) {
         std::cerr << "COMPLEX VERIFICATION FAILED at n=" << n << "\n";
         return 1;

@@ -32,8 +32,8 @@ std::int64_t gate_cnot_cost(const Gate& gate) {
     case GateKind::kCZ:
     case GateKind::kISwap:
     case GateKind::kRZZ:
-      // One two-qubit gate each; backend-specific weighting (e.g. the
-      // 2-iSwap CNOT emulation) lives in Target::gate_cost.
+      // One two-qubit gate each; Target::natives_per_cnot carries the
+      // backend's emulation factor (e.g. two iSwaps per CNOT).
       return 1;
   }
   QSP_ASSERT_MSG(false, "unreachable gate kind");
@@ -52,12 +52,6 @@ std::int64_t two_qubit_gate_count(const Circuit& circuit,
     if (g.kind() == target.two_qubit_kind()) ++count;
   }
   return count;
-}
-
-double circuit_cost(const Circuit& circuit, const Target& target) {
-  double total = 0.0;
-  for (const Gate& g : circuit.gates()) total += target.gate_cost(g);
-  return total;
 }
 
 }  // namespace qsp

@@ -2,10 +2,8 @@
 // Gate cost models. The CNOT-count model of Table I (rotation_cost,
 // gate_cnot_cost: standard ancilla-free decompositions — Ry/X free, CNOT
 // 1, CRy 2, MCRy/UCRy over c controls 2^c via the gray-code multiplexor,
-// Mottonen et al. 2004) plus the target-aware generalizations: a
-// two-qubit gate counter for legalized circuits on any built-in backend
-// (target.hpp) and a weighted circuit cost under a Target's per-gate
-// model.
+// Mottonen et al. 2004) plus a two-qubit gate counter for legalized
+// circuits on any built-in backend (target.hpp).
 
 #include <cstdint>
 
@@ -19,8 +17,7 @@ namespace qsp {
 /// may realize fewer (see lowering.hpp), which benches account for by
 /// costing the *lowered* circuit. Device-native two-qubit gates (CZ,
 /// iSWAP, RZZ) contribute 1 each: the value is a two-qubit gate count,
-/// not an emulation cost — Target::gate_cost carries the per-backend
-/// weighting.
+/// not an emulation cost (Target::natives_per_cnot carries that factor).
 std::int64_t gate_cnot_cost(const Gate& gate);
 
 /// Model cost of a rotation/relabel arc with `num_controls` control
@@ -35,11 +32,5 @@ std::int64_t rotation_cost(int num_controls);
 /// silently miscounting (the historical lowered_cnot_count footgun).
 std::int64_t two_qubit_gate_count(const Circuit& circuit,
                                   const Target& target);
-
-/// Weighted model cost of a circuit under the target's per-gate model:
-/// sum of Target::gate_cost over all gates. Total for any circuit
-/// (non-native gates are estimated at their post-lowering native count),
-/// so it can rank candidates before and after legalization.
-double circuit_cost(const Circuit& circuit, const Target& target);
 
 }  // namespace qsp

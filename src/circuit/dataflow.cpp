@@ -19,13 +19,12 @@ void add_diagnostic(LintReport& report, LintRule rule, std::int64_t index,
   report.diagnostics.push_back(std::move(d));
 }
 
-bool trivial_angle(double theta, double eps) {
-  return std::abs(theta) <= eps;
+bool trivial_angle(double theta) {
+  return std::abs(theta) <= kIdentityAngleEpsilon;
 }
 
-bool all_trivial(const std::vector<double>& angles, double eps) {
-  return std::all_of(angles.begin(), angles.end(),
-                     [eps](double a) { return trivial_angle(a, eps); });
+bool all_trivial(const std::vector<double>& angles) {
+  return std::all_of(angles.begin(), angles.end(), trivial_angle);
 }
 
 }  // namespace
@@ -83,9 +82,8 @@ std::string AffineForm::to_string() const {
 // DataflowEngine
 // ---------------------------------------------------------------------------
 
-DataflowEngine::DataflowEngine(int num_qubits, double angle_epsilon)
-    : angle_epsilon_(angle_epsilon),
-      forms_(static_cast<std::size_t>(num_qubits)),
+DataflowEngine::DataflowEngine(int num_qubits)
+    : forms_(static_cast<std::size_t>(num_qubits)),
       wire_node_(static_cast<std::size_t>(num_qubits)),
       parent_(static_cast<std::size_t>(num_qubits)),
       records_(static_cast<std::size_t>(num_qubits)) {
@@ -223,7 +221,7 @@ GateVerdict DataflowEngine::apply(const Gate& gate, std::int64_t index) {
       return verdict;
     }
     case GateKind::kRy: {
-      if (!trivial_angle(gate.theta(), angle_epsilon_)) {
+      if (!trivial_angle(gate.theta())) {
         forms_[static_cast<std::size_t>(t)] = fresh_variable();
       }
       invalidate_records(gate);
@@ -231,11 +229,11 @@ GateVerdict DataflowEngine::apply(const Gate& gate, std::int64_t index) {
     }
     case GateKind::kCRy:
     case GateKind::kMCRy: {
-      if (!trivial_angle(gate.theta(), angle_epsilon_)) {
+      if (!trivial_angle(gate.theta())) {
         verdict = controlled_rotation_verdict(gate);
       }
       if (verdict.action != GateVerdict::Action::kDrop &&
-          !trivial_angle(gate.theta(), angle_epsilon_)) {
+          !trivial_angle(gate.theta())) {
         forms_[static_cast<std::size_t>(t)] = fresh_variable();
         for (const ControlLiteral& c : gate.controls()) {
           if (!wire_constant(c.qubit).has_value()) merge(c.qubit, t);
@@ -247,7 +245,7 @@ GateVerdict DataflowEngine::apply(const Gate& gate, std::int64_t index) {
     case GateKind::kUCRy:
     case GateKind::kUCRz: {
       const bool y_axis = gate.kind() == GateKind::kUCRy;
-      if (all_trivial(gate.angles(), angle_epsilon_)) {
+      if (all_trivial(gate.angles())) {
         invalidate_records(gate);
         return verdict;  // identity: leave it to dead-rotation
       }
@@ -314,7 +312,7 @@ GateVerdict DataflowEngine::apply(const Gate& gate, std::int64_t index) {
       }
       // Every control constant: one row of the table survives.
       const double theta = gate.angles()[fixed_pattern];
-      if (trivial_angle(theta, angle_epsilon_)) {
+      if (trivial_angle(theta)) {
         reason << "; the selected multiplexor angle is zero — the gate is "
                   "the identity on every reachable state";
         verdict.action = GateVerdict::Action::kDrop;
@@ -365,7 +363,7 @@ GateVerdict DataflowEngine::apply(const Gate& gate, std::int64_t index) {
     }
     case GateKind::kRZZ: {
       const int a = gate.controls()[0].qubit;
-      if (!trivial_angle(gate.theta(), angle_epsilon_) &&
+      if (!trivial_angle(gate.theta()) &&
           !forms_[static_cast<std::size_t>(a)].is_constant() &&
           !forms_[static_cast<std::size_t>(t)].is_constant()) {
         merge(a, t);
@@ -521,9 +519,8 @@ std::string WireFacts::to_json() const {
 // Whole-circuit drivers
 // ---------------------------------------------------------------------------
 
-WireFacts analyze_circuit(const Circuit& circuit,
-                          const DataflowOptions& options) {
-  DataflowEngine engine(circuit.num_qubits(), options.angle_epsilon);
+WireFacts analyze_circuit(const Circuit& circuit) {
+  DataflowEngine engine(circuit.num_qubits());
   const std::vector<Gate>& gates = circuit.gates();
   for (std::size_t i = 0; i < gates.size(); ++i) {
     engine.apply(gates[i], static_cast<std::int64_t>(i));
@@ -534,7 +531,7 @@ WireFacts analyze_circuit(const Circuit& circuit,
 LintReport dataflow_lint(const Circuit& circuit,
                          const DataflowOptions& options) {
   LintReport report;
-  DataflowEngine engine(circuit.num_qubits(), options.angle_epsilon);
+  DataflowEngine engine(circuit.num_qubits());
   const std::vector<Gate>& gates = circuit.gates();
   for (std::size_t i = 0; i < gates.size(); ++i) {
     const GateVerdict verdict =

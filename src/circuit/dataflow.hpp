@@ -57,9 +57,6 @@ struct DataflowOptions {
   /// Wires at or above this index are workspace/ancilla wires expected to
   /// end provably |0> (QL014). Negative: no workspace, QL014 never fires.
   int num_data_wires = -1;
-  /// Rotations with every |angle| at or below this are the identity (the
-  /// transfer function then skips the widening).
-  double angle_epsilon = 1e-12;
 };
 
 /// An affine GF(2) form: XOR of the variables in `mask` plus `offset`.
@@ -149,7 +146,7 @@ struct GateVerdict {
 /// consumes gates one at a time; facts() snapshots the current table.
 class DataflowEngine {
  public:
-  explicit DataflowEngine(int num_qubits, double angle_epsilon = 1e-12);
+  explicit DataflowEngine(int num_qubits);
 
   /// Apply one gate's transfer function and return the verdict computed
   /// against the pre-transfer state. `index` is the gate's position in
@@ -179,7 +176,6 @@ class DataflowEngine {
   void invalidate_records(const Gate& gate);
   GateVerdict controlled_rotation_verdict(const Gate& gate) const;
 
-  double angle_epsilon_;
   std::vector<AffineForm> forms_;
   /// Wire -> union-find node (one level of indirection so iSwap can hand
   /// a wire's entanglement status to its partner by swapping node ids).
@@ -192,8 +188,7 @@ class DataflowEngine {
 };
 
 /// Run the engine over the whole circuit and return the final fact table.
-WireFacts analyze_circuit(const Circuit& circuit,
-                          const DataflowOptions& options = {});
+WireFacts analyze_circuit(const Circuit& circuit);
 
 /// Flow-sensitive lint: QL011 (dead control / provably-identity gate),
 /// QL012 (constant-|1> control, gate should be demoted), QL013

@@ -32,6 +32,11 @@ enum class GateKind : std::uint8_t {
            ///< e^{+i theta/2} on unequal bits.
 };
 
+/// Rotations with every |angle| at or below this are the identity: the
+/// dead-rotation pass drops them, zero-eliding lowering skips them, lint
+/// rule QL006 flags them and the dataflow engine does not widen on them.
+inline constexpr double kIdentityAngleEpsilon = 1e-12;
+
 /// A control literal: gate fires when `qubit` holds `positive ? 1 : 0`.
 struct ControlLiteral {
   int qubit = 0;

@@ -91,13 +91,16 @@ bool raw_is_native(const RawGate& gate, const Target& target) {
   }
 }
 
-/// All rotation angles at or below epsilon: the gate is the identity.
-bool raw_is_degenerate_rotation(const RawGate& gate, double eps) {
-  if (uses_theta(gate.kind)) return std::abs(gate.theta) <= eps;
+/// All rotation angles at or below kIdentityAngleEpsilon: the gate is the
+/// identity.
+bool raw_is_degenerate_rotation(const RawGate& gate) {
+  const auto trivial = [](double a) {
+    return std::abs(a) <= kIdentityAngleEpsilon;
+  };
+  if (uses_theta(gate.kind)) return trivial(gate.theta);
   if (is_multiplexor(gate.kind)) {
     if (gate.angles.empty()) return true;
-    return std::all_of(gate.angles.begin(), gate.angles.end(),
-                       [eps](double a) { return std::abs(a) <= eps; });
+    return std::all_of(gate.angles.begin(), gate.angles.end(), trivial);
   }
   return false;
 }
@@ -394,8 +397,7 @@ void lint_raw_gate(const RawGate& gate, std::int64_t index, int num_qubits,
   // QL003: symmetric natives store the lower wire as a positive control
   // (the Gate-factory canonical form adjacency passes rely on to cancel
   // cz(a,b) against cz(b,a)).
-  if (options.canonical_wire_order && is_symmetric_two_qubit(gate.kind) &&
-      gate.controls.size() == 1) {
+  if (is_symmetric_two_qubit(gate.kind) && gate.controls.size() == 1) {
     const ControlLiteral& c = gate.controls[0];
     if (!c.positive || c.qubit > gate.target) {
       os << kind_name(gate.kind) << " wire pair (" << c.qubit << ", "
@@ -429,11 +431,10 @@ void lint_raw_gate(const RawGate& gate, std::int64_t index, int num_qubits,
     }
   }
 
-  // QL006 (warning): the gate is the identity at angle_epsilon.
-  if (options.degenerate_rotations &&
-      raw_is_degenerate_rotation(gate, options.angle_epsilon)) {
+  // QL006 (warning): the gate is the identity at kIdentityAngleEpsilon.
+  if (options.degenerate_rotations && raw_is_degenerate_rotation(gate)) {
     os << "rotation '" << kind_name(gate.kind)
-       << "' is the identity at epsilon " << options.angle_epsilon;
+       << "' is the identity at epsilon " << kIdentityAngleEpsilon;
     add(report, LintRule::kDegenerateRotation, index, os.str());
     os.str("");
   }

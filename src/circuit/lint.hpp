@@ -52,7 +52,8 @@ enum class LintRule : int {
   kCouplingViolation = 5,      ///< QL005: native two-qubit gate off the
                                ///<        device's edge set.
   kDegenerateRotation = 6,     ///< QL006: rotation that is the identity
-                               ///<        at angle_epsilon (warning).
+                               ///<        at kIdentityAngleEpsilon
+                               ///<        (warning).
   kIdentityPair = 7,           ///< QL007: adjacent self-inverse pair the
                                ///<        optimizer should have removed
                                ///<        (warning).
@@ -116,11 +117,8 @@ struct LintOptions {
   /// Check native two-qubit gates sit on device edges (QL005). Composite
   /// gates are skipped (they are routed during lowering, not here).
   std::shared_ptr<const CouplingGraph> coupling;
-  /// Rotations with every |angle| at or below this are degenerate.
-  double angle_epsilon = 1e-12;
-  /// QL003: symmetric-gate canonical wire order.
-  bool canonical_wire_order = true;
-  /// QL006: degenerate rotations (warning). Off in the pipeline gate —
+  /// QL006: rotations with every |angle| at or below
+  /// kIdentityAngleEpsilon (warning). Off in the pipeline gate —
   /// gray-code lowering legitimately emits zero rotations unless
   /// PassOptions::elide_zero_rotations is set.
   bool degenerate_rotations = true;

@@ -44,7 +44,7 @@ void emit_ucr(Circuit& out, const std::vector<int>& controls, int target,
   };
   const std::size_t c = controls.size();
   if (c == 0) {
-    if (std::abs(pattern_angles[0]) > options.angle_epsilon ||
+    if (std::abs(pattern_angles[0]) > kIdentityAngleEpsilon ||
         !options.elide_zero_rotations) {
       out.append(rotation(pattern_angles[0]));
     }
@@ -65,7 +65,7 @@ void emit_ucr(Circuit& out, const std::vector<int>& controls, int target,
     pending_mask = 0;
   };
   for (std::uint32_t j = 0; j < slots; ++j) {
-    const bool zero = std::abs(phi[j]) <= options.angle_epsilon;
+    const bool zero = std::abs(phi[j]) <= kIdentityAngleEpsilon;
     if (!options.elide_zero_rotations || !zero) {
       flush();
       out.append(rotation(phi[j]));
@@ -75,13 +75,6 @@ void emit_ucr(Circuit& out, const std::vector<int>& controls, int target,
     pending_mask ^= std::uint32_t{1} << change;
   }
   flush();
-}
-
-LoweringOptions lowering_view(const PassOptions& options) {
-  LoweringOptions view;
-  view.elide_zero_rotations = options.elide_zero_rotations;
-  view.angle_epsilon = options.angle_epsilon;
-  return view;
 }
 
 // ---------------------------------------------------------------------------
@@ -128,10 +121,10 @@ class UcrGrayLowerPass final : public Pass {
   }
 
   bool run(Circuit& circuit, const PassOptions& options) const override {
-    const LoweringOptions lowering = lowering_view(options);
+    const LoweringOptions lowering{options.elide_zero_rotations};
     auto trivial = [&](const Gate& g) {
       return lowering.elide_zero_rotations &&
-             std::abs(g.theta()) <= lowering.angle_epsilon;
+             std::abs(g.theta()) <= kIdentityAngleEpsilon;
     };
     bool changed = false;
     Circuit out(circuit.num_qubits());
@@ -350,7 +343,6 @@ std::vector<double> ucry_multiplexor_angles(const std::vector<double>& a) {
 Circuit lower_onto(const Circuit& circuit, const Target& target,
                    const LoweringOptions& options) {
   PassOptions pass_options;
-  pass_options.angle_epsilon = options.angle_epsilon;
   pass_options.elide_zero_rotations = options.elide_zero_rotations;
   pass_options.target = target;
   Circuit out = circuit;

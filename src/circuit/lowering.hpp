@@ -27,9 +27,8 @@ struct LoweringOptions {
   /// Skip zero rotations in multiplexors and fuse the freed CNOT pairs.
   /// With elision a UCRy over c controls may cost fewer than 2^c CNOTs;
   /// without it the count is exactly 2^c, matching the Table-I model.
+  /// Angles at or below kIdentityAngleEpsilon count as zero.
   bool elide_zero_rotations = false;
-  /// Angles with |theta| below this are treated as zero during elision.
-  double angle_epsilon = 1e-12;
 };
 
 /// The three lowering stages in order, as registered Pass objects (they

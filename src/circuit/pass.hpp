@@ -47,8 +47,6 @@ inline constexpr unsigned kPreservesAll =
     kPreservesPreparation | kPreservesCoupling | kPreservesGateSet;
 
 struct PassOptions {
-  /// Rotations with every |angle| at or below this are dead.
-  double angle_epsilon = 1e-12;
   /// Commutation-aware passes walk at most this many surviving gates
   /// backward per candidate, bounding worst-case quadratic scans.
   int commute_window = 128;

@@ -2,10 +2,16 @@
 // Registered-pass pipeline over the Pass framework (pass.hpp). Built-in
 // passes self-register into a global registry; -O levels select ordered
 // subsets and iterate them to a fixed point. The pipeline reports per-pass
-// gate/depth/CNOT deltas and, with verification enabled (default in debug
-// builds), re-simulates the circuit after every pass application and
-// aborts on any preparation drift — so a buggy pass fails loudly at the
-// exact application that broke the circuit instead of corrupting results
+// gate/depth/CNOT deltas and lints every productive pass application,
+// release builds included: the structural rules (wire bounds, overlapping
+// controls, canonical symmetric wire order, coupling conformance when the
+// before-circuit conformed to pass.target.coupling) plus pass-contract
+// consistency (QL008) against the pass's preserves() declaration. Any
+// error-severity diagnostic throws std::logic_error naming the pass and
+// the rule. With verification enabled (default in debug builds) it also
+// re-simulates the circuit after every pass application and aborts on any
+// preparation drift — so a buggy pass fails loudly at the exact
+// application that broke the circuit instead of corrupting results
 // downstream.
 
 #include <cstdint>
@@ -33,30 +39,18 @@ struct PipelineOptions {
   /// once), so this is a safety cap, not a tuning knob; 0 means iterate
   /// until no change.
   int max_iterations = 0;
-  /// Lint after every productive pass application — always on, release
-  /// builds included (the no-simulation complement to verify_each_pass):
-  /// structural rules (wire bounds, overlapping controls, canonical
-  /// symmetric wire order, coupling conformance when the before-circuit
-  /// conformed to pass.target.coupling) plus pass-contract consistency
-  /// against the pass's preserves() declaration. Any error-severity
-  /// diagnostic throws std::logic_error naming the pass and the rule.
-  bool lint_each_pass = true;
-  /// Re-verify preparation equivalence after every pass application:
-  /// simulate the circuit before and after the pass from |0...0> (complex
-  /// statevector when z-axis gates are present, real otherwise) and
-  /// require conjugate-inner-product overlap 1 up to tolerance. Throws
-  /// std::logic_error naming the offending pass. Defaults on in debug
-  /// builds (NDEBUG unset), off in release.
+  /// Re-verify every pass application on registers of at most 14 qubits:
+  /// simulate the circuit before and after the pass from |0...0>
+  /// (preparation_overlap, sim/verifier.hpp) and require overlap 1 within
+  /// 1e-7, and require a gate-set-preserving pass not to raise the CNOT
+  /// cost. Throws std::logic_error naming the offending pass. Defaults on
+  /// in debug builds (NDEBUG unset), off in release.
   bool verify_each_pass =
 #ifdef NDEBUG
       false;
 #else
       true;
 #endif
-  /// Verification simulates only registers at most this wide (memory for
-  /// the dense statevector is 16 * 2^n bytes).
-  int verify_max_qubits = 14;
-  double verify_tolerance = 1e-7;
 };
 
 /// Whole-pipeline accounting: one PassReport per pass application, in

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "circuit/circuit.hpp"
-#include "circuit/cost_model.hpp"
 
 namespace qsp {
 
@@ -57,21 +56,6 @@ bool Target::is_native_circuit(const Circuit& circuit) const {
     if (!is_native(g)) return false;
   }
   return true;
-}
-
-double Target::gate_cost(const Gate& gate) const {
-  if (is_native(gate)) {
-    switch (gate.kind()) {
-      case GateKind::kX:
-      case GateKind::kRy:
-      case GateKind::kRz:
-        return single_qubit_cost;
-      default:
-        return two_qubit_cost;
-    }
-  }
-  return static_cast<double>(gate_cnot_cost(gate)) *
-         static_cast<double>(natives_per_cnot_) * two_qubit_cost;
 }
 
 }  // namespace qsp

@@ -1,12 +1,10 @@
 #pragma once
 // First-class backend descriptor: which two-qubit gate the device executes
-// natively (CNOT, CZ, iSWAP or RZZ), what each gate costs, and optionally
-// which coupling graph constrains it. The lowering pipeline's final stage
-// (native-legalize, lowering.hpp) rewrites every CNOT into the target's
-// native set, and the per-gate cost model here replaces the fixed
-// CNOT-count stub for anything cost-aware: benches report
-// two_qubit_gate_count(circuit, target) per gate set instead of aliasing
-// everything into the CNOT column.
+// natively (CNOT, CZ, iSWAP or RZZ) and optionally which coupling graph
+// constrains it. The lowering pipeline's final stage (native-legalize,
+// lowering.hpp) rewrites every CNOT into the target's native set, and
+// benches report two_qubit_gate_count(circuit, target) (cost_model.hpp)
+// per gate set instead of aliasing everything into the CNOT column.
 
 #include <memory>
 #include <string_view>
@@ -59,25 +57,10 @@ class Target {
   /// staged lowering establishes for this target.
   bool is_native_circuit(const Circuit& circuit) const;
 
-  /// Model cost of one gate on this target. Native two-qubit gates cost
-  /// two_qubit_cost, native single-qubit gates single_qubit_cost, and
-  /// anything not yet legal (CNOT on a non-CNOT target, composite
-  /// rotations) is estimated as its post-lowering native count:
-  /// gate_cnot_cost(gate) * natives_per_cnot() * two_qubit_cost.
-  double gate_cost(const Gate& gate) const;
-
   friend bool operator==(const Target& a, const Target& b) {
-    return a.two_qubit_kind_ == b.two_qubit_kind_ &&
-           a.two_qubit_cost == b.two_qubit_cost &&
-           a.single_qubit_cost == b.single_qubit_cost &&
-           a.coupling == b.coupling;
+    return a.two_qubit_kind_ == b.two_qubit_kind_ && a.coupling == b.coupling;
   }
 
-  /// Cost of one native two-qubit gate (relative units; tune per device).
-  double two_qubit_cost = 1.0;
-  /// Cost of one native single-qubit gate. Defaults to 0 so the default
-  /// model degenerates to the paper's two-qubit count.
-  double single_qubit_cost = 0.0;
   /// Optional device coupling the target is constrained by; consumers
   /// that route (flow/Solver) read WorkflowOptions::coupling as before —
   /// this reference lets a Target bundle gate set and topology as one

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -18,6 +19,16 @@
 
 namespace qsp {
 namespace {
+
+/// Levels the descent runs at most.
+constexpr int kBeamMaxLevels = 96;
+
+/// Selection-score weight per remaining distinct index. The admissible
+/// f = g + h cannot charge for cardinality (free merges exist), so the
+/// beam would otherwise drown necessary expensive merges under cheap
+/// lateral CNOT relabels. Only the *selection* uses this estimate; the
+/// incumbent pruning stays admissible.
+constexpr double kBeamCardinalityWeight = 3.0;
 
 // Level rules. Identical results at every shard count hinge on three
 // order-free rules:
@@ -67,12 +78,10 @@ void beam_offer(ClassIndex<BeamPending>& level_map, CanonicalKey&& key,
 }
 
 /// Selection score: the admissible f = g + h plus the (inadmissible,
-/// selection-only) cardinality estimate — see
-/// BeamOptions::cardinality_weight.
-double beam_score(std::int64_t g, std::int64_t h, int cardinality,
-                  double cardinality_weight) {
+/// selection-only) cardinality estimate — see kBeamCardinalityWeight.
+double beam_score(std::int64_t g, std::int64_t h, int cardinality) {
   return static_cast<double>(g + h) +
-         cardinality_weight * static_cast<double>(cardinality - 1);
+         kBeamCardinalityWeight * static_cast<double>(cardinality - 1);
 }
 
 /// One class winner surviving resolution, ready for the k-select. `key`
@@ -204,7 +213,7 @@ class ShardedBeam {
 
     beam_.push_back(root_gid);
     frozen_goal_g_ = goal_g_;
-    done_ = root_is_goal || options_.max_levels <= 0;
+    done_ = root_is_goal;
     if (deadline_.expired() && !done_) {
       budget_exhausted_.store(true);
       done_ = true;
@@ -299,10 +308,10 @@ class ShardedBeam {
         const std::uint64_t seq = beam_seq(pos, move_index++);
         ++shard.generated;
         SlotState child = apply_move(state, mv);
-        if (!options_.allow_splits &&
-            child.cardinality() > state.cardinality()) {
-          continue;
-        }
+        // Splits (arcs that increase cardinality) are never admitted: they
+        // create enormous equal-cost plateaus that defeat beam descent,
+        // and merge/relabel arcs alone always reach the ground class.
+        if (child.cardinality() > state.cardinality()) continue;
         const std::int64_t g2 = g + mv.cost;
         // The incumbent bound is frozen at level entry so pruning cannot
         // depend on the order goals are discovered within the level.
@@ -384,7 +393,7 @@ class ShardedBeam {
           shard.nodes.append(SearchNode{std::move(pending.state), pending.g2,
                                         h, pending.parent, pending.via});
       shard.selected.push_back(BeamCandidate{
-          beam_score(pending.g2, h, cardinality, options_.cardinality_weight),
+          beam_score(pending.g2, h, cardinality),
           h, pending.g2, &it->first, make_shard_gid(s, local)});
     }
     // Per-shard top-k: the global top beam_width is contained in the
@@ -450,8 +459,7 @@ class ShardedBeam {
 
     frozen_goal_g_ = goal_g_;
     ++depth_;
-    const bool more_levels =
-        depth_ < options_.max_levels && !beam_.empty();
+    const bool more_levels = depth_ < kBeamMaxLevels && !beam_.empty();
     if (more_levels && deadline_.expired()) {
       budget_exhausted_.store(true);
     }
@@ -485,8 +493,18 @@ class ShardedBeam {
 
 }  // namespace
 
+void validate_beam_options(const char* context, const BeamOptions& options) {
+  if (options.beam_width < 1) {
+    throw std::invalid_argument(std::string(context) +
+                                ": BeamOptions::beam_width must be at least "
+                                "1, got " +
+                                std::to_string(options.beam_width));
+  }
+  validate_search_coupling(context, options.coupling.get());
+}
+
 BeamSynthesizer::BeamSynthesizer(BeamOptions options) : options_(options) {
-  validate_search_coupling("BeamSynthesizer", options_.coupling.get());
+  validate_beam_options("BeamSynthesizer", options_);
 }
 
 SynthesisResult BeamSynthesizer::synthesize(const QuantumState& target) const {

@@ -22,8 +22,8 @@
 namespace qsp {
 
 struct BeamOptions {
+  /// Frontier states kept per level; must be at least 1.
   int beam_width = 512;
-  int max_levels = 96;
   HeuristicMode heuristic = HeuristicMode::kComponent;
   CanonicalLevel canonical = CanonicalLevel::kPU2Greedy;
   /// Rotation-arc control budget; -1 allows the m-flow-style merges with
@@ -31,16 +31,6 @@ struct BeamOptions {
   int max_controls = -1;
   /// Rotation-candidate enumeration cap (see MoveGenOptions).
   std::uint64_t full_candidate_cap = 4096;
-  /// Admit arcs that increase cardinality (splits). Off by default: they
-  /// create enormous equal-cost plateaus that defeat beam descent, and
-  /// merge/relabel arcs alone always reach the ground class.
-  bool allow_splits = false;
-  /// Selection-score weight per remaining distinct index. The admissible
-  /// f = g + h cannot charge for cardinality (free merges exist), so the
-  /// beam would otherwise drown necessary expensive merges under cheap
-  /// lateral CNOT relabels. Only the *selection* uses this estimate; the
-  /// incumbent pruning stays admissible.
-  double cardinality_weight = 3.0;
   /// Optional coupling constraint (see SearchOptions::coupling).
   std::shared_ptr<const CouplingGraph> coupling;
   double time_budget_seconds = 0.0;
@@ -54,6 +44,10 @@ struct BeamOptions {
   /// descent — but never populates it: beam results carry no certificate.
   std::shared_ptr<SearchCache> cache;
 };
+
+/// Throws std::invalid_argument, naming `context`, when `options` cannot
+/// run a descent: beam_width below 1, or a disconnected coupling graph.
+void validate_beam_options(const char* context, const BeamOptions& options);
 
 class BeamSynthesizer {
  public:

@@ -10,7 +10,7 @@ namespace qsp {
 ExactSynthesizer::ExactSynthesizer(ExactSynthesisOptions options)
     : options_(options) {
   validate_search_coupling("ExactSynthesizer", options_.astar.coupling.get());
-  validate_search_coupling("ExactSynthesizer", options_.beam.coupling.get());
+  validate_beam_options("ExactSynthesizer", options_.beam);
 }
 
 SynthesisResult ExactSynthesizer::synthesize(const QuantumState& target) const {
@@ -29,7 +29,7 @@ SynthesisResult ExactSynthesizer::synthesize(const SlotState& target) const {
       clamp_budget(astar_options.time_budget_seconds, deadline);
   const AStarSynthesizer astar(astar_options);
   SynthesisResult result = astar.synthesize(target);
-  if (result.found || !options_.enable_beam_fallback) return result;
+  if (result.found) return result;
 
   BeamOptions beam_options = options_.beam;
   beam_options.time_budget_seconds =

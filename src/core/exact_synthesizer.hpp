@@ -11,9 +11,8 @@ namespace qsp {
 
 struct ExactSynthesisOptions {
   SearchOptions astar;
+  /// The fallback search, run whenever A* ends without a circuit.
   BeamOptions beam;
-  /// Fall back to beam search when A* exceeds its budget.
-  bool enable_beam_fallback = true;
   /// Overall wall-clock budget for the exact tail (0 = unlimited). Wired
   /// into every nested search's SearchBudget: A* gets at most the
   /// remaining time, and whatever it leaves bounds the beam fallback —

@@ -261,13 +261,4 @@ ComplexState ComplexStatevector::to_state() const {
   return ComplexState(num_qubits_, std::move(terms));
 }
 
-bool verify_complex_preparation(const Circuit& circuit,
-                                const ComplexState& target,
-                                double tolerance) {
-  if (circuit.num_qubits() < target.num_qubits()) return false;
-  ComplexStatevector sv(circuit.num_qubits());
-  sv.apply(circuit);
-  return sv.fidelity(target) >= 1.0 - tolerance;
-}
-
 }  // namespace qsp

@@ -39,10 +39,4 @@ class ComplexStatevector {
   std::vector<std::complex<double>> amp_;
 };
 
-/// Verify that `circuit` maps |0...0> to `target` up to global phase;
-/// ancilla qubits above the target register must return to |0>.
-bool verify_complex_preparation(const Circuit& circuit,
-                                const ComplexState& target,
-                                double tolerance = 1e-7);
-
 }  // namespace qsp

@@ -34,7 +34,7 @@ struct ComplexPrepResult {
 
 /// Prepare an arbitrary complex-amplitude state: the Fig.-5 workflow
 /// prepares the magnitude state, then the phase oracle imprints the
-/// support phases. Verify with verify_complex_preparation.
+/// support phases. Verify with verify_preparation (sim/verifier.hpp).
 ComplexPrepResult prepare_complex(const ComplexState& target,
                                   const WorkflowOptions& options = {});
 

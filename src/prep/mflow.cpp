@@ -17,6 +17,9 @@ namespace {
 
 constexpr double kZeroAmplitude = 1e-12;
 
+/// Candidate pairs the kCheapest strategy evaluates per merge.
+constexpr std::size_t kCheapestCandidates = 16;
+
 struct TermEntry {
   BasisIndex index;
   double amplitude;
@@ -316,9 +319,8 @@ class Engine {
     }
     // kCheapest: evaluate a bounded number of candidate pairs over both
     // merge orientations and every pivot choice.
-    const std::size_t limit = std::min<std::size_t>(
-        candidates.size(),
-        static_cast<std::size_t>(std::max(1, options_.cheapest_candidates)));
+    const std::size_t limit =
+        std::min(candidates.size(), kCheapestCandidates);
     MergePlan best_plan = default_plan(candidates.front().first,
                                        candidates.front().second);
     std::int64_t best_cost = std::numeric_limits<std::int64_t>::max();

@@ -26,8 +26,6 @@ struct MFlowOptions {
     kPrefixAdjacent,
   };
   PairStrategy strategy = PairStrategy::kGreedyFirst;
-  /// Candidate pairs evaluated under kCheapest.
-  int cheapest_candidates = 16;
   /// Abort after this many seconds (0 = unlimited).
   double time_budget_seconds = 0.0;
 };

@@ -164,21 +164,15 @@ SearchCache::Lookup EquivalenceCache::begin(const SlotState& target,
       const MutexLock lock(shard.m);
       const auto it = shard.map.find(key);
       if (it != shard.map.end()) {
+        // Grab the immutable template; the circuit (and any rewiring) is
+        // built after the lock is released.
         Entry& entry = it->second;
         exact = target == entry.representative;
-        if (exact || options_.rewire_class_hits) {
-          // Grab the immutable template; the circuit (and any rewiring)
-          // is built after the lock is released.
-          shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru);
-          hit_circuit = entry.circuit;
-          hit_witness = entry.witness;
-          hit_cost = entry.cnot_cost;
-        }
-        // Class present but rewiring disabled: treat as a miss; the
-        // publish below will refresh the entry with the new
-        // representative.
-      }
-      if (hit_circuit == nullptr) {
+        shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru);
+        hit_circuit = entry.circuit;
+        hit_witness = entry.witness;
+        hit_cost = entry.cnot_cost;
+      } else {
         if (consult_only) {
           // Non-certifying searchers (the beam) answer from the table or
           // walk away: claiming ownership would make certifying
@@ -265,15 +259,6 @@ void EquivalenceCache::end(const SlotState& target,
     // class is budget- and heuristic-independent, which is what makes a
     // future hit sound for any requester sharing the fingerprint.
     if (result != nullptr && result->found && result->optimal) {
-      const auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        // Refresh (rewire_class_hits off): replace the representative.
-        shard.lru.erase(it->second.lru);
-        shard.bytes -= it->second.bytes;
-        bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-        shard.map.erase(it);
-        entries_.fetch_sub(1, std::memory_order_relaxed);
-      }
       Entry entry;
       entry.representative = target;
       entry.witness = std::make_shared<const CanonicalWitness>(witness);
@@ -286,7 +271,11 @@ void EquivalenceCache::end(const SlotState& target,
       entry.lru = shard.lru.begin();
       shard.bytes += entry.bytes;
       bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
-      shard.map.emplace(key, std::move(entry));
+      // Only the class's owner publishes, and begin() makes an owner only
+      // when the class is absent: every present class is served as a hit.
+      // The owner's in-flight marker keeps any second owner out until now.
+      const bool inserted = shard.map.emplace(key, std::move(entry)).second;
+      QSP_ASSERT(inserted);
       entries_.fetch_add(1, std::memory_order_relaxed);
       insertions_.fetch_add(1, std::memory_order_relaxed);
       evict_over_caps(shard);

@@ -42,10 +42,6 @@ struct EquivalenceCacheOptions {
   std::size_t max_entries = 1u << 16;
   /// Approximate byte bound across all shards (0 = unlimited).
   std::size_t max_bytes = std::size_t{256} << 20;
-  /// Serve same-class different-representative lookups by witness
-  /// rewiring. Off, such lookups count as misses (exact hits still
-  /// served).
-  bool rewire_class_hits = true;
 };
 
 struct EquivalenceCacheStats {

@@ -1,5 +1,6 @@
 #include "service/synthesis_service.hpp"
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -134,15 +135,7 @@ void SynthesisService::worker_loop() {
     }
     try {
       WorkflowOptions options = job.request.options;
-      if (options_.share_cache && options.cache == nullptr) {
-        options.cache = cache_;
-      }
-      if (options_.opt_level.has_value()) {
-        options.opt_level = *options_.opt_level;
-      }
-      if (options_.target.has_value()) {
-        options.target = *options_.target;
-      }
+      if (options.cache == nullptr) options.cache = cache_;
       const Timer timer;
       const Solver solver(options);
       ServiceResponse response;

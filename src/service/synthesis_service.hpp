@@ -4,20 +4,19 @@
 // (GHZ/W/Dicke families, parameter sweeps, per-user variants) reduce to
 // the same canonical exact-tail classes, so the exact kernel's work is
 // paid once and served from cache thereafter; concurrent requests for the
-// same class are deduplicated in flight inside the cache. Per-request
-// coupling, thread counts and budgets are honored — the service only
-// injects its cache into each request's WorkflowOptions. Request- and
-// search-level parallelism compose: a request carrying
-// WorkflowOptions::num_threads > 1 runs its exact-tail A* and beam
-// searches on that many shards inside its worker, so a small batch of
-// heavy requests can still saturate the machine.
+// same class are deduplicated in flight inside the cache. Each request
+// runs its own WorkflowOptions (coupling, target, -O level, thread counts
+// and budgets); the service only injects its cache into a request that
+// carries none. Request- and search-level parallelism compose: a request
+// carrying WorkflowOptions::num_threads > 1 runs its exact-tail A* and
+// beam searches on that many shards inside its worker, so a small batch
+// of heavy requests can still saturate the machine.
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -35,22 +34,9 @@ namespace qsp {
 struct SynthesisServiceOptions {
   /// Worker threads serving requests (0 = all hardware threads).
   int num_workers = 0;
-  /// Configuration of the shared equivalence cache.
+  /// Configuration of the shared equivalence cache, which every request
+  /// whose WorkflowOptions carries no cache of its own uses.
   EquivalenceCacheOptions cache;
-  /// Inject the service cache into every request whose WorkflowOptions
-  /// does not already carry one. Off, the service is a plain worker pool.
-  bool share_cache = true;
-  /// Service-wide pass-pipeline level. When set, overrides every
-  /// request's WorkflowOptions::opt_level — a deployment knob (e.g. run
-  /// the whole fleet at O2, or disable cleanup at O0 for debugging)
-  /// without touching per-request options. Unset: requests keep their
-  /// own level.
-  std::optional<OptLevel> opt_level;
-  /// Service-wide backend target. When set, overrides every request's
-  /// WorkflowOptions::target — the fleet-deployment analogue of
-  /// `opt_level` for hardware with a fixed native gate set. Unset:
-  /// requests keep their own target.
-  std::optional<Target> target;
   /// QASM front door (submit_qasm): reject programs wider than this
   /// before any amplitude work (the dense simulation behind a request is
   /// 8 * 2^n bytes). 0 = unlimited.

@@ -11,7 +11,10 @@
 namespace qsp {
 namespace {
 
-bool has_z_axis_gates(const Circuit& circuit) {
+/// True when the circuit can give the prepared state complex amplitudes:
+/// z-axis rotations, iSWAP and RZZ. CZ stays real, so CZ-legalized
+/// circuits keep the cheaper real simulator.
+bool needs_complex_simulator(const Circuit& circuit) {
   for (const Gate& g : circuit.gates()) {
     if (g.kind() == GateKind::kRz || g.kind() == GateKind::kUCRz ||
         g.kind() == GateKind::kISwap || g.kind() == GateKind::kRZZ) {
@@ -44,9 +47,9 @@ VerificationResult verify_preparation(const Circuit& circuit,
     result.message = "circuit register narrower than target";
     return result;
   }
-  if (has_z_axis_gates(circuit)) {
-    // The real simulator rejects Rz/UCRz; phase-oracle outputs verify on
-    // the complex path (which also needs the conjugated inner product).
+  if (needs_complex_simulator(circuit)) {
+    // The real simulator rejects these gates; phase-oracle outputs verify
+    // on the complex path (which also needs the conjugated inner product).
     return verify_preparation(circuit, ComplexState(target), tolerance);
   }
   Statevector sv(circuit.num_qubits());
@@ -73,14 +76,32 @@ VerificationResult verify_preparation(const Circuit& circuit,
   }
   ComplexStatevector sv(circuit.num_qubits());
   sv.apply(circuit);
+  // |<target|prepared>|^2 with the conjugate inner product: insensitive
+  // to global phase but penalizes any relative-phase error.
+  return from_fidelity(sv.fidelity(target), tolerance);
+}
 
-  // Conjugate complex inner product <target|prepared>; |ip|^2 is
-  // insensitive to global phase but penalizes any relative-phase error.
-  std::complex<double> ip{0.0, 0.0};
-  for (const ComplexTerm& t : target.terms()) {
-    ip += std::conj(t.amplitude) * sv.amplitudes()[t.index];
+double preparation_overlap(const Circuit& a, const Circuit& b) {
+  if (a.num_qubits() != b.num_qubits()) {
+    throw std::invalid_argument("preparation_overlap: register mismatch");
   }
-  return from_fidelity(std::norm(ip), tolerance);
+  const int n = a.num_qubits();
+  if (needs_complex_simulator(a) || needs_complex_simulator(b)) {
+    ComplexStatevector sa(n);
+    ComplexStatevector sb(n);
+    sa.apply(a);
+    sb.apply(b);
+    std::complex<double> ip = 0.0;
+    for (std::size_t i = 0; i < sa.amplitudes().size(); ++i) {
+      ip += std::conj(sa.amplitudes()[i]) * sb.amplitudes()[i];
+    }
+    return std::abs(ip);
+  }
+  Statevector sa(n);
+  Statevector sb(n);
+  sa.apply(a);
+  sb.apply(b);
+  return std::abs(sa.inner_product(sb));
 }
 
 void verify_preparation_or_throw(const Circuit& circuit,

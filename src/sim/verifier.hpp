@@ -37,6 +37,15 @@ VerificationResult verify_preparation(const Circuit& circuit,
                                       const ComplexState& target,
                                       double tolerance = 1e-7);
 
+/// |<a|b>| of the states the two circuits prepare from |0...0>, via the
+/// conjugate inner product. Circuits with z-axis, iSWAP or RZZ gates
+/// route through the complex statevector. Because the modulus discards
+/// the global phase, a circuit and its lower_onto(target) image score 1
+/// for every target even when the native decompositions differ from CNOT
+/// by a global phase. Throws std::invalid_argument when the registers
+/// differ in width.
+double preparation_overlap(const Circuit& a, const Circuit& b);
+
 /// Throwing wrappers for tests and examples.
 void verify_preparation_or_throw(const Circuit& circuit,
                                  const QuantumState& target,

@@ -1,12 +1,8 @@
 #include "pass_test_util.hpp"
 
 #include <cmath>
-#include <complex>
 #include <deque>
 #include <stdexcept>
-
-#include "phase/complex_statevector.hpp"
-#include "sim/statevector.hpp"
 
 namespace qsp::test {
 namespace {
@@ -190,40 +186,6 @@ Circuit random_coupled_circuit(const CouplingGraph& device, int size, Rng& rng,
     circuit.append(std::move(g));
   }
   return circuit;
-}
-
-double preparation_overlap(const Circuit& a, const Circuit& b) {
-  if (a.num_qubits() != b.num_qubits()) {
-    throw std::invalid_argument("preparation_overlap: register mismatch");
-  }
-  const int n = a.num_qubits();
-  const auto has_phase = [](const Circuit& c) {
-    for (const Gate& g : c.gates()) {
-      // iSwap and RZZ introduce complex amplitudes (CZ stays real, so
-      // CZ-legalized circuits keep the fast real path).
-      if (g.kind() == GateKind::kRz || g.kind() == GateKind::kUCRz ||
-          g.kind() == GateKind::kISwap || g.kind() == GateKind::kRZZ) {
-        return true;
-      }
-    }
-    return false;
-  };
-  if (has_phase(a) || has_phase(b)) {
-    ComplexStatevector sa(n);
-    ComplexStatevector sb(n);
-    sa.apply(a);
-    sb.apply(b);
-    std::complex<double> ip = 0.0;
-    for (std::size_t i = 0; i < sa.amplitudes().size(); ++i) {
-      ip += std::conj(sa.amplitudes()[i]) * sb.amplitudes()[i];
-    }
-    return std::abs(ip);
-  }
-  Statevector sa(n);
-  Statevector sb(n);
-  sa.apply(a);
-  sb.apply(b);
-  return std::abs(sa.inner_product(sb));
 }
 
 }  // namespace qsp::test

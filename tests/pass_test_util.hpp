@@ -1,10 +1,11 @@
 #pragma once
 // Shared fixtures for the differential pass harness: seeded random-circuit
 // corpora spanning every gate kind the pipeline rewrites (X, Ry, CNOT, CRy,
-// MCRy, UCRy and the z-axis Rz/UCRz), coupled corpora whose circuits are
-// native for a device, and preparation-overlap helpers. Built as the
-// qsp_test_util static library and linked into every test binary, so the
-// pass, peephole and QASM property tests draw from the same distribution.
+// MCRy, UCRy and the z-axis Rz/UCRz) and coupled corpora whose circuits
+// are native for a device. Built as the qsp_test_util static library and
+// linked into every test binary, so the pass, peephole and QASM property
+// tests draw from the same distribution. The overlap check they pair with
+// is preparation_overlap (sim/verifier.hpp).
 
 #include <cstdint>
 #include <vector>
@@ -48,14 +49,5 @@ std::vector<Circuit> random_circuit_corpus(const CorpusOptions& options = {});
 /// duplicate seeding as random_circuit.
 Circuit random_coupled_circuit(const CouplingGraph& device, int size, Rng& rng,
                                const CorpusOptions& options = {});
-
-/// |<a|b>| of the states the two circuits prepare from |0...0>, via the
-/// conjugate inner product; uses the complex statevector when either
-/// circuit carries z-axis, iSwap or RZZ gates. Registers must match.
-/// Because the modulus discards the global phase, this is the
-/// cross-gate-set equivalence check for legalized circuits: a circuit
-/// and its lower_onto(target) image must score 1 for every target even
-/// when the native decompositions differ from CNOT by a global phase.
-double preparation_overlap(const Circuit& a, const Circuit& b);
 
 }  // namespace qsp::test

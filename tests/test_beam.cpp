@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -171,6 +172,22 @@ TEST(Beam, DuplicateClassCannotCrowdOutNeededClasses) {
     ASSERT_TRUE(res.found) << "width=" << width;
     verify_preparation_or_throw(res.circuit, target);
     EXPECT_LE(res.cnot_cost, 15) << "width=" << width;
+  }
+  // Widths below 1 hold no frontier. They are rejected up front, directly
+  // and through the A* fallback, instead of failing inside the descent
+  // (-3) or passing for a finished descent that found nothing (0).
+  for (const int width : {0, -3}) {
+    BeamOptions options;
+    options.beam_width = width;
+    EXPECT_THROW(BeamSynthesizer(options).synthesize(target),
+                 std::invalid_argument)
+        << "width=" << width;
+    ExactSynthesisOptions exact;
+    exact.astar.node_budget = 10;  // force the fallback
+    exact.beam = options;
+    EXPECT_THROW(ExactSynthesizer(exact).synthesize(target),
+                 std::invalid_argument)
+        << "width=" << width;
   }
 }
 

@@ -19,6 +19,7 @@
 #include "flow/solver.hpp"
 #include "pass_test_util.hpp"
 #include "phase/complex_statevector.hpp"
+#include "sim/verifier.hpp"
 #include "state/state_factory.hpp"
 #include "util/rng.hpp"
 
@@ -26,7 +27,6 @@ namespace qsp {
 namespace {
 
 using test::CorpusOptions;
-using test::preparation_overlap;
 using test::random_circuit;
 using test::random_circuit_corpus;
 

@@ -5,6 +5,10 @@
 #include <stdexcept>
 
 #include "circuit/cost_model.hpp"
+#include "circuit/dataflow.hpp"
+#include "circuit/lint.hpp"
+#include "circuit/lowering.hpp"
+#include "circuit/pass_pipeline.hpp"
 
 namespace qsp {
 namespace {
@@ -106,6 +110,39 @@ TEST(CostModel, TableOne) {
   EXPECT_EQ(rotation_cost(0), 0);
   EXPECT_EQ(rotation_cost(1), 2);
   EXPECT_EQ(rotation_cost(5), 32);
+}
+
+// One epsilon decides when a rotation is the identity. Every consumer
+// must agree on both sides of it: at half the constant the rotation is the
+// identity, at twice the constant it is a real rotation.
+TEST(Gate, IdentityAngleEpsilonAgreesAcrossConsumers) {
+  LoweringOptions elide;
+  elide.elide_zero_rotations = true;
+  for (const bool identity : {true, false}) {
+    const double theta = (identity ? 0.5 : 2.0) * kIdentityAngleEpsilon;
+    Circuit circuit(1);
+    circuit.append(Gate::ry(0, theta));
+    const char* ctx = identity ? "half the epsilon" : "twice the epsilon";
+
+    Circuit swept = circuit;
+    EXPECT_EQ(PassPipeline::find("dead-rotation")->run(swept, PassOptions{}),
+              identity)
+        << ctx;
+    EXPECT_EQ(swept.size(), identity ? 0u : 1u) << ctx;
+
+    EXPECT_EQ(lower(circuit, elide).size(), identity ? 0u : 1u) << ctx;
+
+    const LintReport report = lint_circuit(circuit);
+    ASSERT_EQ(report.diagnostics.size(), identity ? 1u : 0u) << ctx;
+    if (identity) {
+      EXPECT_EQ(report.diagnostics.front().rule,
+                LintRule::kDegenerateRotation);
+    }
+
+    DataflowEngine engine(1);
+    engine.apply(circuit.gates().front(), 0);
+    EXPECT_EQ(engine.wire_constant(0).has_value(), identity) << ctx;
+  }
 }
 
 }  // namespace

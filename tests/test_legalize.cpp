@@ -3,14 +3,9 @@
 // must produce a circuit that (a) is native for the target and (b)
 // prepares the same state (preparation_overlap is global-phase-blind, so
 // decompositions that differ from CNOT by a global phase still score 1).
-//
-// CI's lowering matrix narrows the sweep per leg: QSP_TARGET restricts
-// the target list and QSP_OPT_LEVEL the level list, so a cz/O2 job under
-// ASan doesn't redundantly re-run the other eleven combinations.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -21,34 +16,20 @@
 #include "circuit/pass_pipeline.hpp"
 #include "circuit/target.hpp"
 #include "pass_test_util.hpp"
+#include "sim/verifier.hpp"
 #include "util/rng.hpp"
 
 namespace qsp {
 namespace {
 
-std::vector<Target> targets_under_test() {
-  if (const char* env = std::getenv("QSP_TARGET")) {
-    return {Target::by_name(env)};
-  }
-  return Target::builtin();
-}
-
-std::vector<OptLevel> levels_under_test() {
-  if (const char* env = std::getenv("QSP_OPT_LEVEL")) {
-    const int level = std::stoi(env);
-    return {static_cast<OptLevel>(level)};
-  }
-  return {OptLevel::kO0, OptLevel::kO1, OptLevel::kO2};
-}
-
 TEST(Legalize, LowerOntoIsNativeAndEquivalent) {
   const auto corpus = test::random_circuit_corpus();
-  for (const Target& target : targets_under_test()) {
+  for (const Target& target : Target::builtin()) {
     for (const Circuit& circuit : corpus) {
       const Circuit low = lower_onto(circuit, target);
       ASSERT_TRUE(target.is_native_circuit(low))
           << target.name() << " n=" << circuit.num_qubits();
-      ASSERT_NEAR(test::preparation_overlap(circuit, low), 1.0, 1e-7)
+      ASSERT_NEAR(preparation_overlap(circuit, low), 1.0, 1e-7)
           << target.name() << " n=" << circuit.num_qubits();
     }
   }
@@ -58,8 +39,9 @@ TEST(Legalize, PipelineComposesOptimizationWithLegalization) {
   // One fixpoint loop runs the level's cleanup passes AND the lowering
   // stages; the result must be native and equivalent at every level.
   const auto corpus = test::random_circuit_corpus();
-  for (const Target& target : targets_under_test()) {
-    for (const OptLevel level : levels_under_test()) {
+  for (const Target& target : Target::builtin()) {
+    for (const OptLevel level :
+         {OptLevel::kO0, OptLevel::kO1, OptLevel::kO2}) {
       PipelineOptions options;
       options.level = level;
       options.lower_to_target = true;
@@ -71,7 +53,7 @@ TEST(Legalize, PipelineComposesOptimizationWithLegalization) {
         ASSERT_TRUE(target.is_native_circuit(out))
             << target.name() << " " << opt_level_name(level)
             << " n=" << circuit.num_qubits();
-        ASSERT_NEAR(test::preparation_overlap(circuit, out), 1.0, 1e-7)
+        ASSERT_NEAR(preparation_overlap(circuit, out), 1.0, 1e-7)
             << target.name() << " " << opt_level_name(level)
             << " n=" << circuit.num_qubits();
       }
@@ -85,11 +67,11 @@ TEST(Legalize, ElisionStaysEquivalentPerTarget) {
   const auto corpus = test::random_circuit_corpus(corpus_options);
   LoweringOptions elide;
   elide.elide_zero_rotations = true;
-  for (const Target& target : targets_under_test()) {
+  for (const Target& target : Target::builtin()) {
     for (const Circuit& circuit : corpus) {
       const Circuit low = lower_onto(circuit, target, elide);
       ASSERT_TRUE(target.is_native_circuit(low)) << target.name();
-      ASSERT_NEAR(test::preparation_overlap(circuit, low), 1.0, 1e-7)
+      ASSERT_NEAR(preparation_overlap(circuit, low), 1.0, 1e-7)
           << target.name() << " n=" << circuit.num_qubits();
     }
   }
@@ -101,13 +83,13 @@ TEST(Legalize, LegalizationPreservesCoupling) {
   // never moves two-qubit gates to new wire pairs.
   const CouplingGraph device = CouplingGraph::line(5);
   Rng rng(0xBEEF);
-  for (const Target& target : targets_under_test()) {
+  for (const Target& target : Target::builtin()) {
     for (int trial = 0; trial < 8; ++trial) {
       const Circuit routed = test::random_coupled_circuit(device, 40, rng);
       ASSERT_TRUE(respects_coupling(routed, device));
       const Circuit low = lower_onto(routed, target);
       ASSERT_TRUE(respects_coupling(low, device, target)) << target.name();
-      ASSERT_NEAR(test::preparation_overlap(routed, low), 1.0, 1e-7)
+      ASSERT_NEAR(preparation_overlap(routed, low), 1.0, 1e-7)
           << target.name();
     }
   }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -438,8 +439,9 @@ TEST(Lint, ReportToStringAndJsonCarryCodes) {
 
 // ---------------------------------------------------------------------------
 // The pipeline's release-mode gate: a pass whose output breaks its own
-// preserves() declaration must be named in a std::logic_error even with
-// the debug simulation verify off.
+// preserves() declaration must be named in a std::logic_error. The gate
+// fires with the debug simulation verify off, and fires first with it on:
+// gate-count growth and new gate kinds are QL008's alone.
 
 class GrowingPass final : public Pass {
  public:
@@ -451,27 +453,40 @@ class GrowingPass final : public Pass {
   }
 };
 
+// Grows the circuit while the prepared state stays intact.
+class PaddingPass final : public Pass {
+ public:
+  std::string_view name() const override { return "padding-test-pass"; }
+  unsigned preserves() const override { return kPreservesAll; }
+  bool run(Circuit& circuit, const PassOptions&) const override {
+    circuit.append(Gate::x(0));
+    circuit.append(Gate::x(0));
+    return true;
+  }
+};
+
 TEST(Lint, PipelineGateThrowsOnContractViolation) {
   Circuit circuit(2);
   circuit.append(Gate::ry(0, 0.4));
   const GrowingPass growing;
-  PipelineOptions options;
-  options.verify_each_pass = false;  // isolate the lint gate
-  options.lint_each_pass = true;
-  options.max_iterations = 1;
-  const PassPipeline pipeline({&growing}, options);
-  try {
-    pipeline.run(circuit);
-    FAIL() << "lint gate did not fire";
-  } catch (const std::logic_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("growing-test-pass"), std::string::npos) << what;
-    EXPECT_NE(what.find("QL008"), std::string::npos) << what;
+  const PaddingPass padding;
+  for (const Pass* pass : std::initializer_list<const Pass*>{&growing,
+                                                             &padding}) {
+    for (const bool verify : {false, true}) {
+      PipelineOptions options;
+      options.verify_each_pass = verify;
+      options.max_iterations = 1;
+      const PassPipeline pipeline({pass}, options);
+      try {
+        pipeline.run(circuit);
+        ADD_FAILURE() << "lint gate did not fire on " << pass->name();
+      } catch (const std::logic_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(pass->name()), std::string::npos) << what;
+        EXPECT_NE(what.find("QL008"), std::string::npos) << what;
+      }
+    }
   }
-  // With the gate off the pipeline trusts the pass.
-  options.lint_each_pass = false;
-  const PassPipeline trusting({&growing}, options);
-  EXPECT_NO_THROW(trusting.run(circuit));
 }
 
 // ---------------------------------------------------------------------------

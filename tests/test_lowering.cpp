@@ -22,6 +22,9 @@ namespace {
 // ---------------------------------------------------------------------------
 namespace legacy {
 
+/// The elision threshold the oracle was frozen with.
+constexpr double kAngleEpsilon = 1e-12;
+
 void emit_ucr(Circuit& out, const std::vector<int>& controls, int target,
               const std::vector<double>& pattern_angles,
               const LoweringOptions& options, bool z_axis);
@@ -50,7 +53,7 @@ void emit_ucr(Circuit& out, const std::vector<int>& controls, int target,
   };
   const std::size_t c = controls.size();
   if (c == 0) {
-    if (std::abs(pattern_angles[0]) > options.angle_epsilon ||
+    if (std::abs(pattern_angles[0]) > kAngleEpsilon ||
         !options.elide_zero_rotations) {
       out.append(rotation(pattern_angles[0]));
     }
@@ -68,7 +71,7 @@ void emit_ucr(Circuit& out, const std::vector<int>& controls, int target,
     pending_mask = 0;
   };
   for (std::uint32_t j = 0; j < slots; ++j) {
-    const bool zero = std::abs(phi[j]) <= options.angle_epsilon;
+    const bool zero = std::abs(phi[j]) <= kAngleEpsilon;
     if (!options.elide_zero_rotations || !zero) {
       flush();
       out.append(rotation(phi[j]));
@@ -84,7 +87,7 @@ Circuit lower(const Circuit& circuit, const LoweringOptions& options) {
   Circuit out(circuit.num_qubits());
   auto trivial = [&](const Gate& g) {
     return options.elide_zero_rotations &&
-           std::abs(g.theta()) <= options.angle_epsilon;
+           std::abs(g.theta()) <= kAngleEpsilon;
   };
   for (const Gate& g : circuit.gates()) {
     switch (g.kind()) {

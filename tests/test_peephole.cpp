@@ -19,6 +19,7 @@
 #include "circuit/pass_pipeline.hpp"
 #include "phase/complex_statevector.hpp"
 #include "pass_test_util.hpp"
+#include "sim/verifier.hpp"
 #include "util/rng.hpp"
 
 namespace qsp {
@@ -144,7 +145,7 @@ TEST(Peephole, CnotPairAcrossMcryControlWireIsNotFolded) {
   prep.append(c);
   const Circuit out = o2(prep);
   EXPECT_EQ(out.size(), prep.size());
-  EXPECT_NEAR(test::preparation_overlap(prep, out), 1.0, 1e-9);
+  EXPECT_NEAR(preparation_overlap(prep, out), 1.0, 1e-9);
 }
 
 TEST(Peephole, CnotPairAcrossMcryReadIsFolded) {
@@ -158,7 +159,7 @@ TEST(Peephole, CnotPairAcrossMcryReadIsFolded) {
   c.append(Gate::cnot(0, 1));
   const Circuit out = o2(c);
   EXPECT_EQ(out.size(), c.size() - 2);
-  EXPECT_NEAR(test::preparation_overlap(c, out), 1.0, 1e-9);
+  EXPECT_NEAR(preparation_overlap(c, out), 1.0, 1e-9);
 }
 
 TEST(Peephole, CnotFoldAcrossDiagonalRun) {
@@ -170,7 +171,7 @@ TEST(Peephole, CnotFoldAcrossDiagonalRun) {
   c.append(Gate::cnot(0, 2));
   c.append(Gate::cnot(0, 1));
   const Circuit out = o2(c);
-  EXPECT_NEAR(test::preparation_overlap(c, out), 1.0, 1e-9);
+  EXPECT_NEAR(preparation_overlap(c, out), 1.0, 1e-9);
   EXPECT_EQ(out.size(), c.size() - 2);
   // The O1 adjacency sweep cannot see past the intervening reads.
   PipelineOptions o1_options;
@@ -187,7 +188,7 @@ TEST(Peephole, RotationMergeAcrossCommutingCnot) {
   c.append(Gate::rz(0, 0.5));
   const Circuit out = o2(c);
   EXPECT_EQ(out.size(), c.size() - 1);
-  EXPECT_NEAR(test::preparation_overlap(c, out), 1.0, 1e-9);
+  EXPECT_NEAR(preparation_overlap(c, out), 1.0, 1e-9);
   // An Ry on the CNOT's *target* must not merge through it. The control
   // needs its own Ry first: on a provably-|0> control the dataflow pass
   // would (correctly) drop the CNOT as dead and let the halves fuse.
@@ -211,7 +212,7 @@ TEST(Peephole, OppositeRotationsAnnihilateAcrossCommutingGap) {
   c.append(Gate::rz(1, -0.6));
   const Circuit out = o2(c);
   EXPECT_EQ(out.size(), 3u);
-  EXPECT_NEAR(test::preparation_overlap(c, out), 1.0, 1e-9);
+  EXPECT_NEAR(preparation_overlap(c, out), 1.0, 1e-9);
 }
 
 TEST(Peephole, XPairFoldsAcrossDisjointGates) {
@@ -222,7 +223,7 @@ TEST(Peephole, XPairFoldsAcrossDisjointGates) {
   c.append(Gate::x(0));
   const Circuit out = o2(c);
   EXPECT_EQ(out.size(), 2u);
-  EXPECT_NEAR(test::preparation_overlap(c, out), 1.0, 1e-9);
+  EXPECT_NEAR(preparation_overlap(c, out), 1.0, 1e-9);
 }
 
 TEST(Peephole, CommuteWindowBoundsTheBackwardWalk) {

@@ -8,6 +8,7 @@
 #include "circuit/lowering.hpp"
 #include "phase/complex_statevector.hpp"
 #include "sim/statevector.hpp"
+#include "sim/verifier.hpp"
 #include "state/state_factory.hpp"
 #include "util/rng.hpp"
 
@@ -153,7 +154,7 @@ TEST(PrepareComplex, RandomComplexStatesVerify) {
     const ComplexState target = make_random_complex(n, m, rng);
     const ComplexPrepResult res = prepare_complex(target);
     ASSERT_TRUE(res.found);
-    EXPECT_TRUE(verify_complex_preparation(res.circuit, target))
+    EXPECT_TRUE(verify_preparation(res.circuit, target).ok)
         << target.to_string();
   }
 }
@@ -164,7 +165,7 @@ TEST(PrepareComplex, RealStatesPayNoPhaseCost) {
   const ComplexState lifted(real);
   const ComplexPrepResult res = prepare_complex(lifted);
   ASSERT_TRUE(res.found);
-  EXPECT_TRUE(verify_complex_preparation(res.circuit, lifted));
+  EXPECT_TRUE(verify_preparation(res.circuit, lifted).ok);
   // The oracle contributes only zero-angle UCRz gates, which the eliding
   // lowering removes; the total equals the magnitude preparation alone.
   LoweringOptions elide;
@@ -181,7 +182,7 @@ TEST(PrepareComplex, DensePathWithPhases) {
   const ComplexState target = make_random_complex(5, 16, rng);
   const ComplexPrepResult res = prepare_complex(target);
   ASSERT_TRUE(res.found);
-  EXPECT_TRUE(verify_complex_preparation(res.circuit, target));
+  EXPECT_TRUE(verify_preparation(res.circuit, target).ok);
 }
 
 }  // namespace

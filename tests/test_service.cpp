@@ -72,55 +72,32 @@ TEST(SynthesisService, WarmBatchIsBitIdenticalToCold) {
   EXPECT_GT(warm_stats.hits, cold_stats.hits);
 }
 
-TEST(SynthesisService, ServiceOptLevelOverridesRequests) {
-  // A service pinned to O0 must ignore the per-request level: no pass
-  // applications are reported. An unpinned service honors the request's
-  // default O1 and reports the pipeline's work.
-  SynthesisServiceOptions pinned;
-  pinned.num_workers = 1;
-  pinned.opt_level = OptLevel::kO0;
-  SynthesisService service_o0(pinned);
-  WorkflowOptions wants_o2;
-  wants_o2.opt_level = OptLevel::kO2;
+TEST(SynthesisService, RequestOptLevelAndTargetAreHonoured) {
+  // Each request runs its own WorkflowOptions: an O0 request reports no
+  // pass applications, the default O1 request reports the pipeline's
+  // work, and a request's target comes back legalized for that target.
+  SynthesisServiceOptions options;
+  options.num_workers = 1;
+  SynthesisService service(options);
+  WorkflowOptions wants_o0;
+  wants_o0.opt_level = OptLevel::kO0;
   const ServiceResponse raw =
-      service_o0.submit(request_for(make_w(4), wants_o2)).get();
+      service.submit(request_for(make_w(4), wants_o0)).get();
   ASSERT_TRUE(raw.result.found);
   EXPECT_TRUE(raw.result.passes.passes.empty());
   EXPECT_EQ(raw.result.passes.gates_delta(), 0);
-
-  SynthesisService service_default{SynthesisServiceOptions{}};
-  const ServiceResponse cleaned =
-      service_default.submit(request_for(make_w(4))).get();
+  const ServiceResponse cleaned = service.submit(request_for(make_w(4))).get();
   ASSERT_TRUE(cleaned.result.found);
   EXPECT_FALSE(cleaned.result.passes.passes.empty());
   EXPECT_LE(cleaned.result.circuit.cnot_cost(),
             raw.result.circuit.cnot_cost());
   verify_preparation_or_throw(cleaned.result.circuit, make_w(4));
   verify_preparation_or_throw(raw.result.circuit, make_w(4));
-}
 
-TEST(SynthesisService, ServiceTargetOverridesRequests) {
-  // A fleet deployed for one backend pins the gate set the same way it
-  // pins the opt level: a request asking for CNOT still comes back
-  // legalized for the service's target.
-  SynthesisServiceOptions pinned;
-  pinned.num_workers = 1;
-  pinned.target = Target::cz();
-  SynthesisService service(pinned);
-  WorkflowOptions wants_cnot;  // default target
-  const ServiceResponse response =
-      service.submit(request_for(make_ghz(4), wants_cnot)).get();
-  ASSERT_TRUE(response.result.found);
-  EXPECT_EQ(response.result.target, "cz");
-  EXPECT_TRUE(Target::cz().is_native_circuit(response.result.circuit));
-  verify_preparation_or_throw(response.result.circuit, make_ghz(4));
-
-  // Unpinned: the per-request target is honored.
-  SynthesisService unpinned{SynthesisServiceOptions{}};
   WorkflowOptions wants_rzz;
   wants_rzz.target = Target::rzz();
   const ServiceResponse rzz =
-      unpinned.submit(request_for(make_ghz(4), wants_rzz)).get();
+      service.submit(request_for(make_ghz(4), wants_rzz)).get();
   ASSERT_TRUE(rzz.result.found);
   EXPECT_EQ(rzz.result.target, "rzz");
   EXPECT_TRUE(Target::rzz().is_native_circuit(rzz.result.circuit));
@@ -229,11 +206,10 @@ TEST(SynthesisService, SearchLevelParallelismComposesWithWorkerPool) {
   // Requests carrying WorkflowOptions::num_threads run their exact-tail
   // searches on that many shards inside a service worker; the beam's
   // thread-count determinism means the answers are bit-identical to a
-  // one-thread request for the same state. share_cache is off so both
-  // requests really search.
+  // one-thread request for the same state. Each request carries its own
+  // cache so both really search.
   SynthesisServiceOptions service_options;
   service_options.num_workers = 2;
-  service_options.share_cache = false;
   SynthesisService service(service_options);
 
   WorkflowOptions serial;
@@ -244,6 +220,8 @@ TEST(SynthesisService, SearchLevelParallelismComposesWithWorkerPool) {
   serial.exact.beam.max_controls = -1;
   WorkflowOptions parallel = serial;
   parallel.num_threads = 4;
+  serial.cache = std::make_shared<EquivalenceCache>();
+  parallel.cache = std::make_shared<EquivalenceCache>();
 
   const QuantumState target = make_dicke(5, 1);
   std::vector<ServiceRequest> batch;

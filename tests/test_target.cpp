@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
+#include "arch/coupling.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/cost_model.hpp"
 #include "circuit/lowering.hpp"
@@ -95,35 +97,6 @@ TEST(Target, IsNativeCircuitHoldsAfterLowering) {
   }
 }
 
-TEST(Target, GateCostWeighsNativesAndEstimatesComposites) {
-  Target t = Target::cz();
-  EXPECT_DOUBLE_EQ(t.gate_cost(Gate::cz(0, 1)), 1.0);
-  EXPECT_DOUBLE_EQ(t.gate_cost(Gate::ry(0, 0.5)), 0.0);
-  // A CNOT on the CZ backend legalizes to one CZ.
-  EXPECT_DOUBLE_EQ(t.gate_cost(Gate::cnot(0, 1)), 1.0);
-  // CRy lowers to 2 CNOTs -> 2 natives on cz/rzz, 4 on iswap.
-  EXPECT_DOUBLE_EQ(Target::cz().gate_cost(Gate::cry(0, 1, 0.5)), 2.0);
-  EXPECT_DOUBLE_EQ(Target::iswap().gate_cost(Gate::cry(0, 1, 0.5)), 4.0);
-  // Tuned weights flow through.
-  t.two_qubit_cost = 3.0;
-  t.single_qubit_cost = 0.25;
-  EXPECT_DOUBLE_EQ(t.gate_cost(Gate::cz(0, 1)), 3.0);
-  EXPECT_DOUBLE_EQ(t.gate_cost(Gate::x(0)), 0.25);
-  EXPECT_DOUBLE_EQ(t.gate_cost(Gate::cry(0, 1, 0.5)), 6.0);
-}
-
-TEST(Target, CircuitCostSumsGateCosts) {
-  Circuit c(2);
-  c.append(Gate::ry(0, 0.5));
-  c.append(Gate::cnot(0, 1));
-  c.append(Gate::cnot(0, 1));
-  Target t = Target::iswap();
-  EXPECT_DOUBLE_EQ(circuit_cost(c, t), 4.0);  // 2 CNOTs x 2 iSwaps each
-  t.single_qubit_cost = 1.0;
-  // Weighted model now also bills the Ry.
-  EXPECT_DOUBLE_EQ(circuit_cost(c, t), 5.0);
-}
-
 TEST(Target, TwoQubitGateCountMatchesBackend) {
   Circuit c(3);
   c.append(Gate::cry(0, 1, 0.6));
@@ -152,12 +125,15 @@ TEST(Target, TwoQubitGateCountRejectsForeignGates) {
                std::invalid_argument);
 }
 
-TEST(Target, EqualityCoversKindAndWeights) {
+TEST(Target, EqualityCoversKindAndCoupling) {
   EXPECT_EQ(Target::cz(), Target::cz());
   EXPECT_FALSE(Target::cz() == Target::rzz());
-  Target tuned = Target::cz();
-  tuned.two_qubit_cost = 2.0;
-  EXPECT_FALSE(tuned == Target::cz());
+  Target coupled = Target::cz();
+  coupled.coupling = std::make_shared<CouplingGraph>(CouplingGraph::line(3));
+  EXPECT_FALSE(coupled == Target::cz());
+  Target same_device = Target::cz();
+  same_device.coupling = coupled.coupling;
+  EXPECT_EQ(coupled, same_device);
 }
 
 TEST(Target, SymmetricNativesCanonicalizeWireOrder) {

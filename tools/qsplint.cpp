@@ -184,7 +184,7 @@ void run_dataflow(const std::string& label, const std::string& qasm,
   for (const qsp::LintDiagnostic& d : flow.diagnostics) {
     report.diagnostics.push_back(d);
   }
-  const qsp::WireFacts facts = qsp::analyze_circuit(*parsed, dataflow);
+  const qsp::WireFacts facts = qsp::analyze_circuit(*parsed);
   print_report(label, std::move(report), mode, outcome, &facts);
 }
 
