@@ -20,6 +20,7 @@
 #include "core/heuristic.hpp"
 #include "core/moves.hpp"
 #include "phase/complex_statevector.hpp"
+#include "prep/nflow.hpp"
 #include "sim/statevector.hpp"
 #include "state/state_factory.hpp"
 #include "util/rng.hpp"
@@ -84,23 +85,38 @@ void emit_canonical_rows() {
   struct Cell {
     const char* kernel;
     CanonicalLevel level;
-    int n;
+    SlotState state;
   };
+  // Uniform counts (m = 2n), where every translation is a candidate; then
+  // the dense workload's shape, the count-heavy 4-qubit n-flow marginal of
+  // a Table-V n = 8 state, where only the minimal-count translations run;
+  // then Dicke(4,2), the exact branch and bound's symmetric worst case.
+  Rng rng(1);
+  const SlotState marginal = *SlotState::from_state(
+      nflow_marginal(make_random_uniform(8, 128, rng), 4));
   const Cell cells[] = {
-      {"canonical_u2", CanonicalLevel::kU2, 4},
-      {"canonical_u2", CanonicalLevel::kU2, 8},
-      {"canonical_pu2exact", CanonicalLevel::kPU2Exact, 4},
-      {"canonical_pu2exact", CanonicalLevel::kPU2Exact, 6},
-      {"canonical_pu2greedy", CanonicalLevel::kPU2Greedy, 6},
-      {"canonical_pu2greedy", CanonicalLevel::kPU2Greedy, 10},
+      {"canonical_u2", CanonicalLevel::kU2, benchmark_state(4, 8, 1)},
+      {"canonical_u2", CanonicalLevel::kU2, benchmark_state(8, 16, 1)},
+      {"canonical_pu2exact", CanonicalLevel::kPU2Exact,
+       benchmark_state(4, 8, 1)},
+      {"canonical_pu2exact", CanonicalLevel::kPU2Exact,
+       benchmark_state(6, 12, 1)},
+      {"canonical_pu2greedy", CanonicalLevel::kPU2Greedy,
+       benchmark_state(6, 12, 1)},
+      {"canonical_pu2greedy", CanonicalLevel::kPU2Greedy,
+       benchmark_state(10, 20, 1)},
+      {"canonical_pu2exact_marginal", CanonicalLevel::kPU2Exact, marginal},
+      {"canonical_pu2greedy_marginal", CanonicalLevel::kPU2Greedy, marginal},
+      {"canonical_pu2exact_dicke", CanonicalLevel::kPU2Exact,
+       *SlotState::from_state(make_dicke(4, 2))},
   };
   for (const Cell& cell : cells) {
-    const SlotState s = benchmark_state(cell.n, 2 * cell.n, 1);
     CanonicalKey key;
     std::uint64_t iters = 0;
     const double spi = time_kernel(
-        [&] { key = canonical_key(s, cell.level); }, &iters);
-    kernel_row(cell.kernel, cell.n, spi, iters, checksum_vector(key));
+        [&] { key = canonical_key(cell.state, cell.level); }, &iters);
+    kernel_row(cell.kernel, cell.state.num_qubits(), spi, iters,
+               checksum_vector(key));
   }
 }
 

@@ -1,26 +1,32 @@
 #include "core/canonical.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "core/moves.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
-#include "util/combinatorics.hpp"
 
 namespace qsp {
 namespace {
 
 constexpr std::uint64_t kPackedCountMask = 0x00000000FFFFFFFFull;
 
+/// Widest register kPU2Exact searches exactly; above it the level runs
+/// the greedy ordering (see canonical.hpp).
+constexpr int kExactPermMaxQubits = 8;
+
 std::uint64_t pack(BasisIndex index, std::uint32_t count) {
   return (static_cast<std::uint64_t>(index) << 32) | count;
 }
 
 /// Entries packed as (index << 32 | count) in entry order — the base
-/// vector every translation/permutation orbit pass operates on via the
-/// wide primitives (util/bitops wideops).
+/// vector every translation pass operates on via the wide primitives
+/// (util/bitops wideops).
 void pack_entries(const std::vector<SlotEntry>& entries, CanonicalKey& out) {
   out.resize(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -28,31 +34,133 @@ void pack_entries(const std::vector<SlotEntry>& entries, CanonicalKey& out) {
   }
 }
 
-/// Exact lex-min over all qubit permutations of an (already translated)
-/// packed entry vector, written into `best` (`cur` is scratch, reused by
-/// the orbit loop across candidates). n <= 8 (guarded by
-/// util::permutations). When `argmin` is non-null it receives the first
-/// permutation achieving the minimum (the scan keeps first-best, so ties
-/// resolve deterministically).
-void min_over_permutations(const CanonicalKey& packed, int n,
-                           CanonicalKey& best, CanonicalKey& cur,
-                           std::vector<int>* argmin = nullptr) {
-  best.clear();
-  for (const auto& perm : permutations(n)) {
-    cur.resize(packed.size());
-    wideops::permute_high32(cur.data(), packed.data(), packed.size(),
-                            perm.data(), n);
-    std::sort(cur.begin(), cur.end());
-    if (best.empty() || cur < best) {
-      best.swap(cur);
-      if (argmin != nullptr) *argmin = perm;
-    }
-  }
+/// One partial qubit relabeling of the exact search: `assigned` holds the
+/// source qubits that already own an output bit, and `pos` packs each
+/// one's output bit in 3 bits, qubit 0 most significant, so comparing two
+/// complete `pos` values compares their permutation vectors
+/// lexicographically.
+struct PartialPerm {
+  std::uint32_t pos = 0;
+  std::uint32_t assigned = 0;
+};
+
+int pos_shift(int q) { return 3 * (kExactPermMaxQubits - 1 - q); }
+
+int output_bit(std::uint32_t pos, int q) {
+  return static_cast<int>((pos >> pos_shift(q)) & 7u);
 }
 
-/// Reused buffers for greedy_perm_form: the orbit loop calls it once per
-/// support index, and before hoisting every call allocated five vectors
-/// per *step* inside it.
+/// Reused buffers for exact_perm_form (the scan calls it once per
+/// translation).
+struct ExactScratch {
+  std::vector<PartialPerm> level;  ///< the minimal assignments at depth d
+  std::vector<PartialPerm> next;
+  CanonicalKey block;       ///< one child's newly completed words, sorted
+  CanonicalKey best_block;  ///< the minimal block over the depth's children
+};
+
+/// Order of two depth-d blocks of newly completed words (both sorted).
+/// The final key is the common prefix, then the block, then words whose
+/// index is at least 2^(d+1); so a block that is a proper prefix of the
+/// other leaves a larger word in its place and is the larger one.
+int compare_blocks(std::span<const std::uint64_t> a,
+                   std::span<const std::uint64_t> b) {
+  const std::size_t k = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < k; ++i) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  if (a.size() == b.size()) return 0;
+  return a.size() > b.size() ? -1 : 1;
+}
+
+/// Exact lex-min over all qubit permutations of the translated packed
+/// words `t` (any order, one of them at index 0), by branch and bound over
+/// output bit positions, lowest first. Once output bits 0..d-1 are
+/// assigned, every entry whose index uses assigned qubits only has its
+/// final word fixed below 2^d, and every other entry lands at or above
+/// 2^d: the fixed words, sorted, are a prefix of the final key. Two
+/// assignments at one depth are therefore already ordered when their
+/// prefixes differ, and only the minimal ones are extended; at depth n the
+/// survivors are exactly the minimizers. `argmin`, when non-null, receives
+/// the lexicographically smallest minimizing permutation (the first one
+/// in next_permutation order).
+///
+/// `incumbent` is the best key of an earlier translation (empty if none).
+/// The search stops and returns false as soon as it knows no completion
+/// is strictly below it; otherwise `out` receives the minimum.
+bool exact_perm_form(const CanonicalKey& t, int n,
+                     const CanonicalKey& incumbent, ExactScratch& xs,
+                     CanonicalKey& out, std::vector<int>* argmin) {
+  // Appends the minimal block, whose indices are below `limit`, to `out`
+  // and compares it with the incumbent's block at the same depth; false
+  // once no completion can be strictly below the incumbent.
+  bool below = incumbent.empty();
+  const auto append_block = [&](std::uint64_t limit) {
+    const std::size_t at = out.size();
+    out.insert(out.end(), xs.best_block.begin(), xs.best_block.end());
+    if (below) return true;
+    std::size_t end = at;
+    while (end < incumbent.size() && (incumbent[end] >> 32) < limit) ++end;
+    const int order = compare_blocks(
+        xs.best_block, std::span(incumbent).subspan(at, end - at));
+    below = order < 0;
+    return order <= 0;
+  };
+  out.clear();
+  xs.best_block.clear();
+  for (const std::uint64_t w : t) {
+    if ((w >> 32) == 0) xs.best_block.push_back(w);
+  }
+  if (!append_block(1)) return false;
+  xs.level.assign(1, PartialPerm{});
+  for (int d = 0; d < n; ++d) {
+    xs.next.clear();
+    for (const PartialPerm node : xs.level) {
+      for (int q = 0; q < n; ++q) {
+        const std::uint32_t bit = std::uint32_t{1} << q;
+        if ((node.assigned & bit) != 0) continue;
+        const PartialPerm child{
+            node.pos | (static_cast<std::uint32_t>(d) << pos_shift(q)),
+            node.assigned | bit};
+        xs.block.clear();
+        for (const std::uint64_t w : t) {
+          const auto index = static_cast<BasisIndex>(w >> 32);
+          if ((index & ~node.assigned) != bit) continue;
+          BasisIndex relabeled = 0;
+          for (BasisIndex rest = index; rest != 0; rest &= rest - 1) {
+            relabeled |= BasisIndex{1}
+                         << output_bit(child.pos, std::countr_zero(rest));
+          }
+          xs.block.push_back(pack(relabeled, static_cast<std::uint32_t>(w)));
+        }
+        std::sort(xs.block.begin(), xs.block.end());
+        const int order = xs.next.empty()
+                              ? -1
+                              : compare_blocks(xs.block, xs.best_block);
+        if (order < 0) {
+          xs.best_block.swap(xs.block);
+          xs.next.clear();
+        }
+        if (order <= 0) xs.next.push_back(child);
+      }
+    }
+    if (!append_block(std::uint64_t{2} << d)) return false;
+    xs.level.swap(xs.next);
+  }
+  if (!below) return false;  // equal to the incumbent, which came first
+  if (argmin != nullptr) {
+    std::uint32_t pos = xs.level.front().pos;
+    for (const PartialPerm node : xs.level) pos = std::min(pos, node.pos);
+    argmin->resize(static_cast<std::size_t>(n));
+    for (int q = 0; q < n; ++q) {
+      (*argmin)[static_cast<std::size_t>(q)] = output_bit(pos, q);
+    }
+  }
+  return true;
+}
+
+/// Reused buffers for greedy_perm_form, which the scan calls once per
+/// translation.
 struct GreedyScratch {
   CanonicalKey work;        ///< pack(prefix, count), aligned with packed
   CanonicalKey shifted;     ///< work with prefix << 1
@@ -140,15 +248,89 @@ double merge_angle(const SlotState& state, int q) {
                            std::sqrt(static_cast<double>(j)));
 }
 
+/// The one candidate scan behind canonical_key and canonical_witness.
+/// When `witness` is non-null it also receives the merge gates, the
+/// translation and the permutation reaching the returned key (its `key`
+/// field is left to the caller).
+///
+/// Lex-minimal forms start with index 0, so only translations by support
+/// indices are candidates. Translating by entry e moves e to index 0,
+/// which no permutation moves, so every candidate from e starts with the
+/// word pack(0, e.count): only the entries of minimal count can give the
+/// minimum. Skipping the others keeps the first-best order (entry order,
+/// then permutation order), so the witness is unchanged too.
+CanonicalKey canonical_scan(const SlotState& state, CanonicalLevel level,
+                            CanonicalWitness* witness) {
+  const int n = state.num_qubits();
+  if (witness != nullptr) {
+    witness->permutation.resize(static_cast<std::size_t>(n));
+    std::iota(witness->permutation.begin(), witness->permutation.end(), 0);
+  }
+  CanonicalKey best;
+  if (level == CanonicalLevel::kNone) {
+    pack_entries(state.entries(), best);
+    return best;
+  }
+  const SlotState compressed = compress_free(
+      state, witness != nullptr ? &witness->merge_gates : nullptr);
+  const bool exact_perm =
+      level == CanonicalLevel::kPU2Exact && n <= kExactPermMaxQubits;
+  const bool greedy_perm_pass =
+      level == CanonicalLevel::kPU2Greedy ||
+      (level == CanonicalLevel::kPU2Exact && !exact_perm);
+
+  const std::vector<SlotEntry>& entries = compressed.entries();
+  // Packed once; each translation is one wide XOR pass over it.
+  CanonicalKey base;
+  pack_entries(entries, base);
+  std::uint32_t min_count = entries.front().count;
+  for (const SlotEntry& e : entries) min_count = std::min(min_count, e.count);
+
+  CanonicalKey t;
+  CanonicalKey candidate;
+  GreedyScratch gs;
+  ExactScratch xs;
+  std::vector<int> perm;
+  std::vector<int>* argmin = witness != nullptr ? &perm : nullptr;
+  for (const SlotEntry& e : entries) {
+    if (e.count != min_count) continue;
+    t.resize(base.size());
+    wideops::copy_xor_high32(t.data(), base.data(), base.size(), e.index);
+    if (exact_perm) {
+      if (!exact_perm_form(t, n, best, xs, candidate, argmin)) continue;
+    } else {
+      std::sort(t.begin(), t.end());
+      if (greedy_perm_pass) {
+        greedy_perm_form(t, n, gs, candidate, argmin);
+      } else {
+        candidate.swap(t);
+      }
+      if (!best.empty() && !(candidate < best)) continue;
+    }
+    best.swap(candidate);
+    if (witness != nullptr) {
+      witness->translation = e.index;
+      if (exact_perm || greedy_perm_pass) witness->permutation = perm;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 std::size_t CanonicalKeyHash::operator()(const CanonicalKey& key) const {
-  std::size_t h = 1469598103934665603ull;
+  std::uint64_t h = 1469598103934665603ull;
   for (const std::uint64_t x : key) {
     h ^= x;
     h *= 1099511628211ull;
   }
-  return h;
+  // A multiply carries only upward, so the low half of h still depends on
+  // the counts alone (the low half of each word). Fold the index half down
+  // before the searches take hash % num_shards as a class's owner.
+  h ^= h >> 32;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 29;
+  return static_cast<std::size_t>(h);
 }
 
 SlotState compress_free(const SlotState& state,
@@ -176,95 +358,13 @@ SlotState compress_free(const SlotState& state,
 }
 
 CanonicalKey canonical_key(const SlotState& state, CanonicalLevel level) {
-  if (level == CanonicalLevel::kNone) {
-    CanonicalKey key;
-    pack_entries(state.entries(), key);
-    return key;
-  }
-  const SlotState compressed = compress_free(state);
-  const int n = compressed.num_qubits();
-  const bool exact_perm = level == CanonicalLevel::kPU2Exact && n <= 8;
-  const bool greedy_perm_pass =
-      level == CanonicalLevel::kPU2Greedy ||
-      (level == CanonicalLevel::kPU2Exact && n > 8);
-
-  const std::vector<SlotEntry>& entries = compressed.entries();
-  // Packed once; each orbit candidate is one wide XOR pass over it.
-  CanonicalKey base;
-  pack_entries(entries, base);
-
-  CanonicalKey best;
-  CanonicalKey t;
-  CanonicalKey candidate;
-  CanonicalKey scratch;
-  GreedyScratch gs;
-  // Lex-minimal translated forms start with index 0, so it suffices to try
-  // translations by each support index.
-  for (const SlotEntry& e : entries) {
-    t.resize(base.size());
-    wideops::copy_xor_high32(t.data(), base.data(), base.size(), e.index);
-    std::sort(t.begin(), t.end());
-    if (exact_perm) {
-      min_over_permutations(t, n, candidate, scratch);
-    } else if (greedy_perm_pass) {
-      greedy_perm_form(t, n, gs, candidate);
-    } else {
-      candidate.swap(t);
-    }
-    if (best.empty() || candidate < best) best.swap(candidate);
-  }
-  return best;
+  return canonical_scan(state, level, nullptr);
 }
 
 CanonicalWitness canonical_witness(const SlotState& state,
                                    CanonicalLevel level) {
   CanonicalWitness w;
-  const int n = state.num_qubits();
-  std::vector<int> identity(static_cast<std::size_t>(n));
-  for (int q = 0; q < n; ++q) identity[static_cast<std::size_t>(q)] = q;
-  if (level == CanonicalLevel::kNone) {
-    pack_entries(state.entries(), w.key);
-    w.permutation = identity;
-    return w;
-  }
-  const SlotState compressed = compress_free(state, &w.merge_gates);
-  const bool exact_perm = level == CanonicalLevel::kPU2Exact && n <= 8;
-  const bool greedy_perm_pass =
-      level == CanonicalLevel::kPU2Greedy ||
-      (level == CanonicalLevel::kPU2Exact && n > 8);
-
-  const std::vector<SlotEntry>& entries = compressed.entries();
-  CanonicalKey base;
-  pack_entries(entries, base);
-
-  // Mirror canonical_key's candidate scan exactly (same iteration order,
-  // same strict-< first-best tie break) so the two stay bit-identical.
-  CanonicalKey best;
-  CanonicalKey t;
-  CanonicalKey candidate;
-  CanonicalKey scratch;
-  GreedyScratch gs;
-  std::vector<int> perm;
-  w.permutation = identity;
-  for (const SlotEntry& e : entries) {
-    t.resize(base.size());
-    wideops::copy_xor_high32(t.data(), base.data(), base.size(), e.index);
-    std::sort(t.begin(), t.end());
-    perm.assign(identity.begin(), identity.end());
-    if (exact_perm) {
-      min_over_permutations(t, n, candidate, scratch, &perm);
-    } else if (greedy_perm_pass) {
-      greedy_perm_form(t, n, gs, candidate, &perm);
-    } else {
-      candidate.swap(t);
-    }
-    if (best.empty() || candidate < best) {
-      best.swap(candidate);
-      w.translation = e.index;
-      w.permutation = perm;
-    }
-  }
-  w.key = std::move(best);
+  w.key = canonical_scan(state, level, &w);
   return w;
 }
 

@@ -21,7 +21,11 @@ enum class CanonicalLevel {
   kU2,         ///< free merges + X-translation minimization
   kPU2Greedy,  ///< + deterministic greedy qubit ordering (sound, may split
                ///<   an orbit into several classes; used for larger n)
-  kPU2Exact,   ///< + exact lex-min over all qubit permutations (n <= 8)
+  kPU2Exact,   ///< + exact lex-min over all qubit permutations (n <= 8),
+               ///<   found by branch and bound over output bit positions:
+               ///<   a partial relabeling whose fixed low words are not
+               ///<   minimal is dropped. Above n = 8 it runs the greedy
+               ///<   ordering; raising that cutoff would change keys.
 };
 
 /// Canonical form: sorted (index << 32 | count) entries after compression

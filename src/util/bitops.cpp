@@ -100,18 +100,6 @@ void copy_xor_high32_scalar(std::uint64_t* dst, const std::uint64_t* src,
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] ^ m;
 }
 
-void permute_high32_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                           std::size_t n, const int* perm, int num_bits) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t w = src[i];
-    std::uint64_t out = w & kLowHalf;
-    for (int q = 0; q < num_bits; ++q) {
-      out |= ((w >> (32 + q)) & 1u) << (32 + perm[q]);
-    }
-    dst[i] = out;
-  }
-}
-
 void shl1_high32_scalar(std::uint64_t* dst, const std::uint64_t* src,
                         std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -224,27 +212,6 @@ void copy_xor_high32_avx2(std::uint64_t* dst, const std::uint64_t* src,
                         _mm256_xor_si256(v, vm));
   }
   for (; i < n; ++i) dst[i] = src[i] ^ m;
-}
-
-QSP_TARGET_AVX2
-void permute_high32_avx2(std::uint64_t* dst, const std::uint64_t* src,
-                         std::size_t n, const int* perm, int num_bits) {
-  const __m256i vlow = _mm256_set1_epi64x(static_cast<long long>(kLowHalf));
-  const __m256i vone = _mm256_set1_epi64x(1);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    __m256i out = _mm256_and_si256(v, vlow);
-    for (int q = 0; q < num_bits; ++q) {
-      const __m256i bitv = _mm256_and_si256(
-          _mm256_srl_epi64(v, _mm_cvtsi32_si128(32 + q)), vone);
-      out = _mm256_or_si256(
-          out, _mm256_sll_epi64(bitv, _mm_cvtsi32_si128(32 + perm[q])));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), out);
-  }
-  if (i < n) permute_high32_scalar(dst + i, src + i, n - i, perm, num_bits);
 }
 
 QSP_TARGET_AVX2
@@ -463,14 +430,6 @@ void copy_xor_high32(std::uint64_t* dst, const std::uint64_t* src,
   if (use_avx2()) return copy_xor_high32_avx2(dst, src, n, mask);
 #endif
   copy_xor_high32_scalar(dst, src, n, mask);
-}
-
-void permute_high32(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t n, const int* perm, int num_bits) {
-#if QSP_WIDEOPS_HAVE_AVX2
-  if (use_avx2()) return permute_high32_avx2(dst, src, n, perm, num_bits);
-#endif
-  permute_high32_scalar(dst, src, n, perm, num_bits);
 }
 
 void shl1_high32(std::uint64_t* dst, const std::uint64_t* src,

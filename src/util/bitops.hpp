@@ -91,14 +91,6 @@ void copy_xor_high32(std::uint64_t* dst, const std::uint64_t* src,
 void copy_xor_high32_scalar(std::uint64_t* dst, const std::uint64_t* src,
                             std::size_t n, std::uint32_t mask);
 
-/// Permute the index (high) half of packed canonical words: bit perm[q]
-/// of dst's index is bit q of src's index, for q < num_bits; index bits
-/// >= num_bits must be clear (permute_bits' contract). Counts copied.
-void permute_high32(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t n, const int* perm, int num_bits);
-void permute_high32_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                           std::size_t n, const int* perm, int num_bits);
-
 /// dst[i] = ((index << 1) << 32) | count — the greedy canonical scan's
 /// prefix shift (index wraps mod 2^32 like the u32 arithmetic it
 /// replaces). dst == src ok.
@@ -174,8 +166,6 @@ double parity_signed_sum_d_scalar(const double* a, std::size_t n,
 #define QSP_WIDEOPS_HAVE_AVX2 1
 void copy_xor_high32_avx2(std::uint64_t* dst, const std::uint64_t* src,
                           std::size_t n, std::uint32_t mask);
-void permute_high32_avx2(std::uint64_t* dst, const std::uint64_t* src,
-                         std::size_t n, const int* perm, int num_bits);
 void shl1_high32_avx2(std::uint64_t* dst, const std::uint64_t* src,
                       std::size_t n);
 void or_bit_from_high32_avx2(std::uint64_t* dst, const std::uint64_t* base,

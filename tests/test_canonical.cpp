@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <map>
 
 #include "core/moves.hpp"
-
+#include "prep/nflow.hpp"
 #include "sim/statevector.hpp"
 #include "state/state_factory.hpp"
 #include "util/combinatorics.hpp"
@@ -233,6 +235,118 @@ TEST(Canonical, WitnessHandlesSeparableStructure) {
     const QuantumState reached = apply_witness(split, w);
     const QuantumState form = key_to_state(w.key, 3).to_state();
     EXPECT_TRUE(reached.approx_equal(form, 1e-9));
+  }
+}
+
+/// Seeded corpus for the frozen digests below: random states for n = 1..8
+/// with uniform and weighted counts, GHZ, W and Dicke states up to n = 7,
+/// and the one-move children of the 4-qubit n-flow marginal of a Table-V
+/// dense state (n = 6, m = 32).
+std::vector<SlotState> frozen_canonical_corpus() {
+  std::vector<SlotState> corpus;
+  Rng rng(1616);
+  for (int n = 1; n <= 8; ++n) {
+    const std::uint64_t max_m =
+        std::min<std::uint64_t>(std::uint64_t{1} << n, 12);
+    for (int i = 0; i < 6; ++i) {
+      const int m = 1 + static_cast<int>(rng.next_below(max_m));
+      corpus.push_back(random_slot(rng, n, m));
+      std::vector<SlotEntry> weighted;
+      for (const std::uint64_t index :
+           rng.sample_distinct(std::uint64_t{1} << n,
+                               static_cast<std::size_t>(m))) {
+        weighted.push_back(
+            SlotEntry{static_cast<BasisIndex>(index),
+                      static_cast<std::uint32_t>(1 + rng.next_below(4))});
+      }
+      corpus.emplace_back(n, std::move(weighted));
+    }
+  }
+  for (int n = 2; n <= 7; ++n) {
+    corpus.push_back(*SlotState::from_state(make_ghz(n)));
+    corpus.push_back(*SlotState::from_state(make_w(n)));
+    for (int k = 1; k < n; ++k) {
+      corpus.push_back(*SlotState::from_state(make_dicke(n, k)));
+    }
+  }
+  const SlotState marginal = *SlotState::from_state(
+      nflow_marginal(make_random_uniform(6, 32, rng), 4));
+  corpus.push_back(marginal);
+  for (const Move& mv : enumerate_moves(marginal, MoveGenOptions{})) {
+    corpus.push_back(apply_move(marginal, mv));
+  }
+  return corpus;
+}
+
+std::uint64_t fnv_word(std::uint64_t h, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (word >> (8 * byte)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Canonical, KeysAndWitnessesUnchangedAfterBranchAndBound) {
+  // Frozen from the n!-permutation scan that the branch and bound and the
+  // minimal-count translation prune replaced: keys, translations,
+  // permutations and merge angles must stay bit-identical at every level.
+  const std::map<CanonicalLevel, std::uint64_t> frozen = {
+      {CanonicalLevel::kNone, 10181762010387349156ull},
+      {CanonicalLevel::kU2, 2787781078145494800ull},
+      {CanonicalLevel::kPU2Greedy, 3835091248819561155ull},
+      {CanonicalLevel::kPU2Exact, 4962403037436733341ull},
+  };
+  const std::vector<SlotState> corpus = frozen_canonical_corpus();
+  for (const auto& [level, digest] : frozen) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const SlotState& s : corpus) {
+      const CanonicalWitness w = canonical_witness(s, level);
+      const CanonicalKey key = canonical_key(s, level);
+      ASSERT_EQ(w.key, key) << s.to_string();
+      h = fnv_word(h, key.size());
+      for (const std::uint64_t word : key) h = fnv_word(h, word);
+      h = fnv_word(h, w.translation);
+      for (const int q : w.permutation) {
+        h = fnv_word(h, static_cast<std::uint64_t>(q));
+      }
+      for (const Gate& g : w.merge_gates) {
+        h = fnv_word(h, static_cast<std::uint64_t>(g.target()));
+        h = fnv_word(h, std::bit_cast<std::uint64_t>(g.theta()));
+      }
+    }
+    EXPECT_EQ(h, digest) << "level " << static_cast<int>(level) << " over "
+                         << corpus.size() << " states";
+  }
+}
+
+TEST(Canonical, KeyHashSpreadsClassesOverShards) {
+  // The sharded searches own a class by hash % num_shards, so the low bits
+  // of the hash must depend on the basis indices, not only on the counts.
+  Rng rng(77);
+  std::vector<CanonicalKey> keys;
+  for (int i = 0; i < 20; ++i) {
+    const SlotState s = random_slot(rng, 5, 8);
+    for (const Move& mv : enumerate_moves(s, MoveGenOptions{})) {
+      keys.push_back(
+          canonical_key(apply_move(s, mv), CanonicalLevel::kPU2Exact));
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  ASSERT_GT(keys.size(), 1000u);
+  for (const std::size_t shards : {2u, 4u, 8u}) {
+    std::vector<std::size_t> owned(shards, 0);
+    for (const CanonicalKey& key : keys) {
+      ++owned[CanonicalKeyHash{}(key) % shards];
+    }
+    const double fair =
+        static_cast<double>(keys.size()) / static_cast<double>(shards);
+    for (std::size_t owner = 0; owner < shards; ++owner) {
+      EXPECT_GE(static_cast<double>(owned[owner]), fair / 2)
+          << "shard " << owner << " of " << shards;
+      EXPECT_LE(static_cast<double>(owned[owner]), fair * 2)
+          << "shard " << owner << " of " << shards;
+    }
   }
 }
 

@@ -88,25 +88,6 @@ TEST(SimdDifferential, CopyXorHigh32) {
   }
 }
 
-TEST(SimdDifferential, PermuteHigh32) {
-  if (!HaveAvx2()) GTEST_SKIP() << "no AVX2 on this host";
-  Rng rng(12);
-  for (const std::size_t n : kLengths) {
-    for (int num_bits = 1; num_bits <= 8; ++num_bits) {
-      const auto src = random_words(rng, n, num_bits);
-      std::vector<int> perm(static_cast<std::size_t>(num_bits));
-      for (int q = 0; q < num_bits; ++q) perm[static_cast<std::size_t>(q)] = q;
-      rng.shuffle(perm);
-      std::vector<std::uint64_t> a(n), b(n);
-      wideops::permute_high32_scalar(a.data(), src.data(), n, perm.data(),
-                                     num_bits);
-      wideops::permute_high32_avx2(b.data(), src.data(), n, perm.data(),
-                                   num_bits);
-      EXPECT_EQ(a, b) << "n=" << n << " bits=" << num_bits;
-    }
-  }
-}
-
 TEST(SimdDifferential, Shl1High32) {
   if (!HaveAvx2()) GTEST_SKIP() << "no AVX2 on this host";
   Rng rng(13);
