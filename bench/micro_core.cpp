@@ -6,12 +6,11 @@
 // A hand-timed kernel sweep emits one canonical-schema json_row per
 // kernel cell — this is what bench/baseline/micro_core.jsonl and
 // tools/bench_compare.py consume. Each kernel row carries a
-// deterministic output checksum: bench_compare uses it to prove the
-// scalar and AVX2 dispatch paths (util/simd.hpp) compute bit-identical
-// results end to end, not just per primitive.
+// deterministic output checksum: bench_compare uses it to prove that
+// the scalar and AVX2 dispatch paths (util/simd.hpp) and the default and
+// -march builds compute bit-identical results end to end, not just per
+// primitive.
 
-#include <complex>
-#include <cstring>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -19,7 +18,6 @@
 #include "core/canonical.hpp"
 #include "core/heuristic.hpp"
 #include "core/moves.hpp"
-#include "phase/complex_statevector.hpp"
 #include "prep/nflow.hpp"
 #include "sim/statevector.hpp"
 #include "state/state_factory.hpp"
@@ -201,16 +199,6 @@ void emit_compress_free_row() {
   kernel_row("compress_free", 4, spi, iters, ck);
 }
 
-std::uint64_t checksum_amp(const Statevector& sv) {
-  return checksum_vector(sv.amplitudes());
-}
-
-std::uint64_t checksum_amp(const ComplexStatevector& sv) {
-  return checksum_bytes(
-      sv.amplitudes().data(),
-      sv.amplitudes().size() * sizeof(std::complex<double>));
-}
-
 /// Time one gate sequence on `sv`, attaching as checksum the amplitudes
 /// after a single deterministic application on a copy of the initial
 /// state. The timing loop then iterates on `sv` freely: rotation drift
@@ -220,7 +208,7 @@ template <typename SV, typename Body>
 void sv_kernel_row(const char* kernel, int n, SV& sv, Body&& body) {
   SV probe = sv;
   body(probe);
-  const std::uint64_t ck = checksum_amp(probe);
+  const std::uint64_t ck = checksum_vector(probe.amplitudes());
   std::uint64_t iters = 0;
   const double spi = time_kernel([&] { body(sv); }, &iters);
   kernel_row(kernel, n, spi, iters, ck);

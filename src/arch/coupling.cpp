@@ -2,23 +2,38 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <deque>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "circuit/cost_model.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 
 namespace qsp {
+namespace {
+
+/// `num_qubits` if a device that wide fits the register, else throws.
+/// Takes 64 bits so that factories can pass products of their dimensions
+/// unwrapped, and runs before anything is sized by the count.
+int checked_qubit_count(std::int64_t num_qubits, const char* who) {
+  if (num_qubits < 1 || num_qubits > kMaxQubits) {
+    throw std::invalid_argument(std::string(who) + ": qubit count " +
+                                std::to_string(num_qubits) +
+                                " out of range [1, " +
+                                std::to_string(kMaxQubits) + "]");
+  }
+  return static_cast<int>(num_qubits);
+}
+
+}  // namespace
 
 CouplingGraph::CouplingGraph(int num_qubits,
                              std::vector<std::pair<int, int>> edges)
-    : num_qubits_(num_qubits),
-      adjacency_(static_cast<std::size_t>(num_qubits)) {
-  if (num_qubits < 1 || num_qubits > kMaxQubits) {
-    throw std::invalid_argument("CouplingGraph: qubit count out of range");
-  }
+    : num_qubits_(checked_qubit_count(num_qubits, "CouplingGraph")),
+      adjacency_(static_cast<std::size_t>(num_qubits_)) {
   for (const auto& [a, b] : edges) {
     if (a < 0 || b < 0 || a >= num_qubits || b >= num_qubits || a == b) {
       throw std::invalid_argument("CouplingGraph: bad edge");
@@ -39,6 +54,7 @@ CouplingGraph::CouplingGraph(int num_qubits,
 }
 
 CouplingGraph CouplingGraph::full(int num_qubits) {
+  checked_qubit_count(num_qubits, "CouplingGraph::full");
   std::vector<std::pair<int, int>> edges;
   for (int a = 0; a < num_qubits; ++a) {
     for (int b = a + 1; b < num_qubits; ++b) edges.emplace_back(a, b);
@@ -47,12 +63,14 @@ CouplingGraph CouplingGraph::full(int num_qubits) {
 }
 
 CouplingGraph CouplingGraph::line(int num_qubits) {
+  checked_qubit_count(num_qubits, "CouplingGraph::line");
   std::vector<std::pair<int, int>> edges;
   for (int q = 0; q + 1 < num_qubits; ++q) edges.emplace_back(q, q + 1);
   return CouplingGraph(num_qubits, std::move(edges));
 }
 
 CouplingGraph CouplingGraph::ring(int num_qubits) {
+  checked_qubit_count(num_qubits, "CouplingGraph::ring");
   std::vector<std::pair<int, int>> edges;
   for (int q = 0; q + 1 < num_qubits; ++q) edges.emplace_back(q, q + 1);
   if (num_qubits > 2) edges.emplace_back(num_qubits - 1, 0);
@@ -60,6 +78,7 @@ CouplingGraph CouplingGraph::ring(int num_qubits) {
 }
 
 CouplingGraph CouplingGraph::star(int num_qubits) {
+  checked_qubit_count(num_qubits, "CouplingGraph::star");
   std::vector<std::pair<int, int>> edges;
   for (int q = 1; q < num_qubits; ++q) edges.emplace_back(0, q);
   return CouplingGraph(num_qubits, std::move(edges));
@@ -69,6 +88,7 @@ CouplingGraph CouplingGraph::grid(int rows, int cols) {
   if (rows < 1 || cols < 1) {
     throw std::invalid_argument("CouplingGraph::grid: bad shape");
   }
+  checked_qubit_count(std::int64_t{rows} * cols, "CouplingGraph::grid");
   std::vector<std::pair<int, int>> edges;
   auto id = [cols](int r, int c) { return r * cols + c; };
   for (int r = 0; r < rows; ++r) {
@@ -85,6 +105,11 @@ CouplingGraph CouplingGraph::heavy_hex(int distance) {
     throw std::invalid_argument(
         "CouplingGraph::heavy_hex: code distance must be odd and positive");
   }
+  // The rows alone hold d(2d - 1) qubits, so a patch too wide for them is
+  // rejected before any edge is built; the constructor adds the bridges.
+  const std::int64_t row_qubits =
+      std::int64_t{distance} * (2 * std::int64_t{distance} - 1);
+  checked_qubit_count(row_qubits, "CouplingGraph::heavy_hex");
   const int d = distance;
   const int width = 2 * d - 1;
   std::vector<std::pair<int, int>> edges;

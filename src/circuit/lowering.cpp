@@ -12,6 +12,20 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
+/// Sum over i in [0, n) of parity(i & mask) ? -a[i] : a[i], the
+/// Walsh-style transform behind ucry_multiplexor_angles. Element i feeds
+/// lane i % 4 and the lanes combine as (l0 + l2) + (l1 + l3). That
+/// rounding order is part of the output: a one-ulp change can flip
+/// zero-rotation elision, and with it the CNOT counts.
+double parity_signed_sum(const double* a, std::size_t n, std::uint32_t mask) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    const int par = parity(static_cast<BasisIndex>(i), mask);
+    lane[i & 3] += (par != 0) ? -a[i] : a[i];
+  }
+  return (lane[0] + lane[2]) + (lane[1] + lane[3]);
+}
+
 void emit_ucr(Circuit& out, const std::vector<int>& controls, int target,
               const std::vector<double>& pattern_angles,
               const LoweringOptions& options, bool z_axis);
@@ -334,7 +348,7 @@ std::vector<double> ucry_multiplexor_angles(const std::vector<double>& a) {
   std::vector<double> phi(slots, 0.0);
   for (std::uint32_t j = 0; j < slots; ++j) {
     const std::uint32_t g = gray_code(j);
-    phi[j] = wideops::parity_signed_sum_d(a.data(), slots, g) /
+    phi[j] = parity_signed_sum(a.data(), slots, g) /
              static_cast<double>(slots);
   }
   return phi;

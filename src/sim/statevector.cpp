@@ -2,240 +2,329 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
-#include <vector>
+#include <string>
+#include <utility>
 
-#include "sim/apply_runs.hpp"
-#include "util/assert.hpp"
 #include "util/bitops.hpp"
+
+// This TU is compiled with -ffp-contract=off (see CMakeLists.txt): the
+// element formulas below are fixed mul/add/sub sequences, and a
+// -march=x86-64-v3 build must not fuse them into FMAs, which round
+// differently from the default build.
 
 namespace qsp {
 namespace {
 
-// Pair runs shorter than this don't amortize the per-run batch dispatch
-// (a low target or control bit fragments the index set); the strided
-// masked loops below keep the seed shape for those. The wide and strided
-// paths are chosen by gate structure alone, never by ISA, so dispatch
-// stays bit-invariant. This TU is compiled with -ffp-contract=off so the
-// strided element math cannot be FMA-contracted away from the wide
-// kernels' fixed shape on -march builds.
-constexpr std::size_t kMinWideRun = 8;
+template <typename Amp>
+constexpr const char* kName =
+    BasicStatevector<Amp>::kComplex ? "ComplexStatevector" : "Statevector";
 
-std::size_t pair_run_length(int target, BasisIndex ctrl_mask) {
-  return std::size_t{1}
-         << std::countr_zero((std::size_t{1} << target) | ctrl_mask);
+template <typename Amp>
+void check_width(int num_qubits, int other_qubits, const char* method) {
+  if (other_qubits > num_qubits) {
+    throw std::invalid_argument(
+        std::string(kName<Amp>) + "::" + method + ": argument has " +
+        std::to_string(other_qubits) + " qubits, register has " +
+        std::to_string(num_qubits));
+  }
+}
+
+/// One term conj(a) * b of an inner product. The complex form is the
+/// textbook product of conj(a) and b, written out with the sign in the
+/// operand for the reason given at scale() below.
+double conj_times(double a, double b) { return a * b; }
+std::complex<double> conj_times(const std::complex<double>& a,
+                                const std::complex<double>& b) {
+  const double neg_ai = -a.imag();
+  return {a.real() * b.real() + a.imag() * b.imag(),
+          a.real() * b.imag() + neg_ai * b.real()};
+}
+
+// Every gate kind acts on the pairs (i, i + 2^target) over the indices i
+// with the target bit clear whose control bits (for RZZ and iSWAP, the
+// other wire's bit) match a pattern. Those indices form contiguous runs of
+// length 2^countr_zero(tbit | ctrl_mask): within a run only bits below the
+// lowest constrained bit vary. Each gate kind is one loop over runs, at
+// every run length. The runs partition the index set and pairs are
+// disjoint, so the order in which runs are visited changes no amplitude.
+
+/// Invoke fn(lo, len) for each maximal contiguous run of indices i in
+/// [0, size) with (i & (1 << target)) == 0 and (i & ctrl_mask) ==
+/// ctrl_value. Preconditions: size is a power of two, target < log2(size),
+/// ctrl_value is a subset of ctrl_mask, and the target bit is not in
+/// ctrl_mask.
+template <typename Fn>
+void for_each_pair_run(std::size_t size, int target, BasisIndex ctrl_mask,
+                       BasisIndex ctrl_value, Fn&& fn) {
+  const std::size_t tbit = std::size_t{1} << target;
+  const std::size_t constrained = tbit | ctrl_mask;
+  const std::size_t run = std::size_t{1} << std::countr_zero(constrained);
+  // Free bits above the run: the subset enumeration below walks them in
+  // ascending order (s = (s - m) & m visits every submask of m once).
+  const std::size_t free_high = (size - 1) & ~constrained & ~(run - 1);
+  std::size_t s = 0;
+  do {
+    fn(s | ctrl_value, run);
+    s = (s - free_high) & free_high;
+  } while (s != 0);
+}
+
+bool uniformly_controlled(const Gate& gate) {
+  return gate.kind() == GateKind::kUCRy || gate.kind() == GateKind::kUCRz;
+}
+
+// Pattern p of a uniformly controlled gate selects the pairs whose control
+// bits spell p (control b is bit b of p) and rotates them by angles()[p].
+// Every other pair gate has one pattern, its control literals, rotated by
+// theta().
+
+std::size_t num_patterns(const Gate& gate) {
+  return uniformly_controlled(gate) ? gate.angles().size() : 1;
+}
+
+double pattern_angle(const Gate& gate, std::size_t p) {
+  return uniformly_controlled(gate) ? gate.angles()[p] : gate.theta();
+}
+
+/// for_each_pair_run over the pairs of pattern p of `gate`.
+template <typename Fn>
+void for_each_pattern_run(const Gate& gate, std::size_t size, std::size_t p,
+                          Fn&& fn) {
+  const auto& controls = gate.controls();
+  const bool uniform = uniformly_controlled(gate);
+  BasisIndex mask = 0;
+  BasisIndex value = 0;
+  for (std::size_t b = 0; b < controls.size(); ++b) {
+    const BasisIndex bit = BasisIndex{1} << controls[b].qubit;
+    mask |= bit;
+    if (uniform ? ((p >> b) & 1) != 0 : controls[b].positive) value |= bit;
+  }
+  for_each_pair_run(size, gate.target(), mask, value,
+                    std::forward<Fn>(fn));
+}
+
+template <typename Amp>
+void swap_pairs(Amp* a, Amp* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) std::swap(a[i], b[i]);
+}
+
+/// Ry(theta) = [[co, -si], [si, co]] with co = cos(theta/2) and si =
+/// sin(theta/2). A real scalar times a complex amplitude scales its two
+/// components, so both instantiations round identically per component.
+template <typename Amp>
+void rotate_pairs(Amp* a, Amp* b, std::size_t n, double co, double si) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const Amp x = a[i];
+    const Amp y = b[i];
+    a[i] = co * x - si * y;
+    b[i] = si * x + co * y;
+  }
+}
+
+template <typename Amp>
+void negate(Amp* a, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) a[i] = -a[i];
+}
+
+/// a[i] *= w for a unit complex w, as x*re + y*(-im) and y*re + x*im:
+/// bit for bit the textbook product x*re - y*im, y*re + x*im, without the
+/// special-value recovery that finite amplitudes never need. The sign
+/// sits in the constant because GCC turns a subtract/add pair of products
+/// into fused multiply-add/subtract (vfmaddsub) on FMA targets even under
+/// -ffp-contract=off, which would round differently from the default
+/// build.
+void scale(std::complex<double>* a, std::size_t n, std::complex<double> w) {
+  const double re = w.real();
+  const double im = w.imag();
+  const double neg_im = -im;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = a[i].real();
+    const double y = a[i].imag();
+    a[i] = {x * re + y * neg_im, y * re + x * im};
+  }
 }
 
 }  // namespace
 
-Statevector::Statevector(int num_qubits) : num_qubits_(num_qubits) {
+template <typename Amp>
+BasicStatevector<Amp>::BasicStatevector(int num_qubits)
+    : num_qubits_(num_qubits) {
   if (num_qubits < 1 || num_qubits > kMaxQubits) {
-    throw std::invalid_argument("Statevector: qubit count out of range");
+    throw std::invalid_argument(std::string(kName<Amp>) +
+                                ": qubit count out of range");
   }
-  amp_.assign(std::size_t{1} << num_qubits, 0.0);
-  amp_[0] = 1.0;
+  amp_.assign(std::size_t{1} << num_qubits, Amp{0.0});
+  amp_[0] = Amp{1.0};
 }
 
-Statevector::Statevector(const QuantumState& state)
-    : num_qubits_(state.num_qubits()), amp_(state.to_dense()) {}
-
-void Statevector::apply_x(int target) {
-  const std::size_t stride = std::size_t{1} << target;
-  const std::size_t size = amp_.size();
-  double* amp = amp_.data();
-  if (stride >= kMinWideRun) {
-    runs::for_each_pair_run(size, target, 0, 0,
-                            [&](std::size_t lo, std::size_t len) {
-                              wideops::swap_ranges_d(amp + lo,
-                                                     amp + lo + stride, len);
-                            });
-    return;
-  }
-  for (std::size_t base = 0; base < size; base += 2 * stride) {
-    for (std::size_t i = base; i < base + stride; ++i) {
-      std::swap(amp[i], amp[i + stride]);
-    }
-  }
+template <typename Amp>
+BasicStatevector<Amp>::BasicStatevector(const State& state)
+    : num_qubits_(state.num_qubits()),
+      amp_(std::size_t{1} << state.num_qubits()) {
+  for (const auto& t : state.terms()) amp_[t.index] = t.amplitude;
 }
 
-void Statevector::apply_cnot(const ControlLiteral& c, int target) {
-  const std::size_t stride = std::size_t{1} << target;
-  const std::size_t size = amp_.size();
-  const BasisIndex cbit = BasisIndex{1} << c.qubit;
-  const BasisIndex want = c.positive ? cbit : 0;
-  double* amp = amp_.data();
-  if (pair_run_length(target, cbit) >= kMinWideRun) {
-    runs::for_each_pair_run(size, target, cbit, want,
-                            [&](std::size_t lo, std::size_t len) {
-                              wideops::swap_ranges_d(amp + lo,
-                                                     amp + lo + stride, len);
-                            });
-    return;
-  }
-  for (std::size_t base = 0; base < size; base += 2 * stride) {
-    for (std::size_t i = base; i < base + stride; ++i) {
-      if ((static_cast<BasisIndex>(i) & cbit) == want) {
-        std::swap(amp[i], amp[i + stride]);
-      }
-    }
-  }
-}
-
-void Statevector::apply_rotation_pairs(int target, double theta,
-                                       BasisIndex ctrl_mask,
-                                       BasisIndex ctrl_value) {
-  // Ry(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]].
-  const double co = std::cos(theta / 2);
-  const double si = std::sin(theta / 2);
-  const std::size_t stride = std::size_t{1} << target;
-  const std::size_t size = amp_.size();
-  double* amp = amp_.data();
-  if (pair_run_length(target, ctrl_mask) >= kMinWideRun) {
-    runs::for_each_pair_run(
-        size, target, ctrl_mask, ctrl_value,
-        [&](std::size_t lo, std::size_t len) {
-          wideops::rotate_pairs_d(amp + lo, amp + lo + stride, len, co, si);
-        });
-    return;
-  }
-  for (std::size_t base = 0; base < size; base += 2 * stride) {
-    for (std::size_t i = base; i < base + stride; ++i) {
-      if ((static_cast<BasisIndex>(i) & ctrl_mask) != ctrl_value) continue;
-      const double a = amp[i];
-      const double b = amp[i + stride];
-      amp[i] = co * a - si * b;
-      amp[i + stride] = si * a + co * b;
-    }
-  }
-}
-
-void Statevector::apply_ucry(const Gate& gate) {
-  const auto& controls = gate.controls();
-  const auto& angles = gate.angles();
-  // Precompute (cos, sin) per pattern.
-  std::vector<double> co(angles.size()), si(angles.size());
-  for (std::size_t s = 0; s < angles.size(); ++s) {
-    co[s] = std::cos(angles[s] / 2);
-    si[s] = std::sin(angles[s] / 2);
-  }
-  BasisIndex mask = 0;
-  for (const auto& c : controls) mask |= BasisIndex{1} << c.qubit;
-  const std::size_t stride = std::size_t{1} << gate.target();
-  const std::size_t size = amp_.size();
-  double* amp = amp_.data();
-  if (pair_run_length(gate.target(), mask) >= kMinWideRun) {
-    // Sweep each pattern's control assignment as its own run set: the
-    // patterns partition the pairs, so every pair is touched exactly
-    // once, just grouped by angle.
-    for (std::size_t pattern = 0; pattern < angles.size(); ++pattern) {
-      BasisIndex value = 0;
-      for (std::size_t b = 0; b < controls.size(); ++b) {
-        if ((pattern >> b) & 1) value |= BasisIndex{1} << controls[b].qubit;
-      }
-      runs::for_each_pair_run(
-          size, gate.target(), mask, value,
-          [&](std::size_t lo, std::size_t len) {
-            wideops::rotate_pairs_d(amp + lo, amp + lo + stride, len,
-                                    co[pattern], si[pattern]);
-          });
-    }
-    return;
-  }
-  for (std::size_t base = 0; base < size; base += 2 * stride) {
-    for (std::size_t i = base; i < base + stride; ++i) {
-      std::uint32_t pattern = 0;
-      for (std::size_t b = 0; b < controls.size(); ++b) {
-        if (get_bit(static_cast<BasisIndex>(i), controls[b].qubit) != 0) {
-          pattern |= std::uint32_t{1} << b;
-        }
-      }
-      const double a = amp[i];
-      const double bmp = amp[i + stride];
-      amp[i] = co[pattern] * a - si[pattern] * bmp;
-      amp[i + stride] = si[pattern] * a + co[pattern] * bmp;
-    }
-  }
-}
-
-void Statevector::apply(const Gate& gate) {
+template <typename Amp>
+void BasicStatevector<Amp>::apply(const Gate& gate) {
   if (gate.max_qubit() >= num_qubits_) {
-    throw std::invalid_argument("Statevector::apply: gate exceeds register");
+    throw std::invalid_argument(std::string(kName<Amp>) +
+                                "::apply: gate exceeds register");
   }
+  Amp* amp = amp_.data();
+  const std::size_t size = amp_.size();
+  const std::size_t stride = std::size_t{1} << gate.target();
   switch (gate.kind()) {
     case GateKind::kX:
-      apply_x(gate.target());
-      break;
     case GateKind::kCNOT:
-      apply_cnot(gate.controls()[0], gate.target());
-      break;
+      for_each_pattern_run(gate, size, 0, [&](std::size_t lo, std::size_t n) {
+        swap_pairs(amp + lo, amp + lo + stride, n);
+      });
+      return;
+    case GateKind::kCZ:
+      // diag(1, 1, 1, -1): negate the upper amplitude of each pair whose
+      // control is set. Real-safe, so CZ-legalized circuits keep the real
+      // instantiation.
+      for_each_pattern_run(gate, size, 0, [&](std::size_t lo, std::size_t n) {
+        negate(amp + lo + stride, n);
+      });
+      return;
     case GateKind::kRy:
-      apply_rotation_pairs(gate.target(), gate.theta(), 0, 0);
-      break;
     case GateKind::kCRy:
-    case GateKind::kMCRy: {
-      BasisIndex mask = 0;
-      BasisIndex value = 0;
-      for (const auto& c : gate.controls()) {
-        mask |= BasisIndex{1} << c.qubit;
-        if (c.positive) value |= BasisIndex{1} << c.qubit;
-      }
-      apply_rotation_pairs(gate.target(), gate.theta(), mask, value);
-      break;
-    }
+    case GateKind::kMCRy:
     case GateKind::kUCRy:
-      apply_ucry(gate);
-      break;
-    case GateKind::kCZ: {
-      // diag(1, 1, 1, -1): negate amplitudes where both wires are set.
-      // Real-safe, so the fast simulator keeps CZ-legalized circuits.
-      const BasisIndex both = (BasisIndex{1} << gate.controls()[0].qubit) |
-                              (BasisIndex{1} << gate.target());
-      const BasisIndex size = BasisIndex{1} << num_qubits_;
-      for (BasisIndex i = 0; i < size; ++i) {
-        if ((i & both) == both) amp_[i] = -amp_[i];
+      for (std::size_t p = 0; p < num_patterns(gate); ++p) {
+        const double theta = pattern_angle(gate, p);
+        const double co = std::cos(theta / 2);
+        const double si = std::sin(theta / 2);
+        for_each_pattern_run(gate, size, p,
+                             [&](std::size_t lo, std::size_t n) {
+                               rotate_pairs(amp + lo, amp + lo + stride, n,
+                                            co, si);
+                             });
       }
-      break;
-    }
+      return;
     case GateKind::kRz:
     case GateKind::kUCRz:
-      throw std::invalid_argument(
-          "Statevector: z-axis rotations need the complex simulator");
-    case GateKind::kISwap:
+      if constexpr (kComplex) {
+        // Rz(theta) = diag(e^{-i theta/2}, e^{+i theta/2}).
+        for (std::size_t p = 0; p < num_patterns(gate); ++p) {
+          const double theta = pattern_angle(gate, p);
+          const Amp w_lo = std::polar(1.0, -theta / 2);
+          const Amp w_hi = std::polar(1.0, theta / 2);
+          for_each_pattern_run(gate, size, p,
+                               [&](std::size_t lo, std::size_t n) {
+                                 scale(amp + lo, n, w_lo);
+                                 scale(amp + lo + stride, n, w_hi);
+                               });
+        }
+        return;
+      }
+      break;
     case GateKind::kRZZ:
-      throw std::invalid_argument(
-          "Statevector: iSwap/RZZ need the complex simulator");
+      if constexpr (kComplex) {
+        // exp(-i theta/2 Z(x)Z): e^{-i theta/2} where the two wires agree,
+        // e^{+i theta/2} where they differ. The pairs split by the other
+        // wire's value.
+        const Amp agree = std::polar(1.0, -gate.theta() / 2);
+        const Amp differ = std::polar(1.0, gate.theta() / 2);
+        const BasisIndex wire = BasisIndex{1} << gate.controls()[0].qubit;
+        for (const BasisIndex value : {BasisIndex{0}, wire}) {
+          const Amp w_lo = value == 0 ? agree : differ;
+          const Amp w_hi = value == 0 ? differ : agree;
+          for_each_pair_run(size, gate.target(), wire, value,
+                            [&](std::size_t lo, std::size_t n) {
+                              scale(amp + lo, n, w_lo);
+                              scale(amp + lo + stride, n, w_hi);
+                            });
+        }
+        return;
+      }
+      break;
+    case GateKind::kISwap:
+      if constexpr (kComplex) {
+        // |10> -> i|01>, |01> -> i|10>; |00> and |11> untouched. Each run
+        // holds the indices with the other wire set and the target clear;
+        // their partners flip both bits.
+        const BasisIndex wire = BasisIndex{1} << gate.controls()[0].qubit;
+        const Amp phase_i{0.0, 1.0};
+        for_each_pair_run(size, gate.target(), wire, wire,
+                          [&](std::size_t lo, std::size_t n) {
+                            Amp* partner = amp + (lo - wire + stride);
+                            swap_pairs(amp + lo, partner, n);
+                            scale(amp + lo, n, phase_i);
+                            scale(partner, n, phase_i);
+                          });
+        return;
+      }
+      break;
   }
+  // Only the real instantiation gets here, on a kind whose phases need
+  // complex amplitudes.
+  throw std::invalid_argument(
+      "Statevector: Rz, UCRz, RZZ and iSWAP need the complex simulator");
 }
 
-void Statevector::apply(const Circuit& circuit) {
+template <typename Amp>
+void BasicStatevector<Amp>::apply(const Circuit& circuit) {
   if (circuit.num_qubits() > num_qubits_) {
-    throw std::invalid_argument("Statevector::apply: register too narrow");
+    throw std::invalid_argument(std::string(kName<Amp>) +
+                                "::apply: register too narrow");
   }
   for (const Gate& g : circuit.gates()) apply(g);
 }
 
-double Statevector::norm() const {
+template <typename Amp>
+double BasicStatevector<Amp>::norm() const {
   double acc = 0.0;
-  for (const double a : amp_) acc += a * a;
+  for (const Amp& a : amp_) acc += std::norm(a);
   return std::sqrt(acc);
 }
 
-double Statevector::inner_product(const Statevector& other) const {
-  QSP_ASSERT(other.amp_.size() == amp_.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < amp_.size(); ++i) acc += amp_[i] * other.amp_[i];
+template <typename Amp>
+Amp BasicStatevector<Amp>::inner_product(
+    const BasicStatevector& other) const {
+  check_width<Amp>(num_qubits_, other.num_qubits_, "inner_product");
+  Amp acc{};
+  for (std::size_t i = 0; i < other.amp_.size(); ++i) {
+    acc += conj_times(amp_[i], other.amp_[i]);
+  }
   return acc;
 }
 
-double Statevector::inner_product(const QuantumState& state) const {
-  QSP_ASSERT(state.num_qubits() == num_qubits_);
-  double acc = 0.0;
-  for (const Term& t : state.terms()) acc += amp_[t.index] * t.amplitude;
+template <typename Amp>
+Amp BasicStatevector<Amp>::inner_product(const State& state) const {
+  check_width<Amp>(num_qubits_, state.num_qubits(), "inner_product");
+  Amp acc{};
+  for (const auto& t : state.terms()) {
+    acc += conj_times(amp_[t.index], t.amplitude);
+  }
   return acc;
 }
 
-QuantumState Statevector::to_state() const {
-  return QuantumState::from_dense(num_qubits_, amp_);
+template <typename Amp>
+double BasicStatevector<Amp>::fidelity(const State& state) const {
+  check_width<Amp>(num_qubits_, state.num_qubits(), "fidelity");
+  return std::norm(inner_product(state));
 }
+
+template <typename Amp>
+auto BasicStatevector<Amp>::to_state() const -> State {
+  if constexpr (kComplex) {
+    std::vector<ComplexTerm> terms;
+    for (std::size_t i = 0; i < amp_.size(); ++i) {
+      if (std::abs(amp_[i]) > ComplexState::kAmplitudeEpsilon) {
+        terms.push_back(ComplexTerm{static_cast<BasisIndex>(i), amp_[i]});
+      }
+    }
+    return ComplexState(num_qubits_, std::move(terms));
+  } else {
+    return QuantumState::from_dense(num_qubits_, amp_);
+  }
+}
+
+template class BasicStatevector<double>;
+template class BasicStatevector<std::complex<double>>;
 
 }  // namespace qsp

@@ -1,11 +1,10 @@
 #include "sim/verifier.hpp"
 
 #include <cmath>
-#include <complex>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
-#include "phase/complex_statevector.hpp"
 #include "sim/statevector.hpp"
 
 namespace qsp {
@@ -37,71 +36,62 @@ VerificationResult from_fidelity(double fidelity, double tolerance) {
   return result;
 }
 
+/// Simulate `circuit` from the ground state on SV and score it against
+/// `target`, embedded with the ancillas (the high qubits) in |0>.
+template <typename SV>
+VerificationResult verify_on(const Circuit& circuit,
+                             const typename SV::State& target,
+                             double tolerance) {
+  if (circuit.num_qubits() < target.num_qubits()) {
+    VerificationResult result;
+    result.message = "circuit register narrower than target";
+    return result;
+  }
+  SV sv(circuit.num_qubits());
+  sv.apply(circuit);
+  return from_fidelity(sv.fidelity(target), tolerance);
+}
+
+template <typename SV>
+double overlap_on(const Circuit& a, const Circuit& b) {
+  SV sa(a.num_qubits());
+  SV sb(b.num_qubits());
+  sa.apply(a);
+  sb.apply(b);
+  return std::abs(sa.inner_product(sb));
+}
+
 }  // namespace
 
 VerificationResult verify_preparation(const Circuit& circuit,
                                       const QuantumState& target,
                                       double tolerance) {
-  VerificationResult result;
-  if (circuit.num_qubits() < target.num_qubits()) {
-    result.message = "circuit register narrower than target";
-    return result;
-  }
   if (needs_complex_simulator(circuit)) {
-    // The real simulator rejects these gates; phase-oracle outputs verify
-    // on the complex path (which also needs the conjugated inner product).
+    // The real instantiation rejects these gates; phase-oracle outputs
+    // verify on the complex one, whose fidelity takes the conjugate
+    // inner product.
     return verify_preparation(circuit, ComplexState(target), tolerance);
   }
-  Statevector sv(circuit.num_qubits());
-  sv.apply(circuit);
-
-  // Inner product against target embedded with ancillas in |0>: the
-  // embedded target has the same basis indices (ancillas are high bits).
-  // Real amplitudes are self-conjugate, so the plain product is the
-  // complex inner product here.
-  double ip = 0.0;
-  for (const Term& t : target.terms()) {
-    ip += sv.amplitudes()[t.index] * t.amplitude;
-  }
-  return from_fidelity(ip * ip, tolerance);
+  return verify_on<Statevector>(circuit, target, tolerance);
 }
 
 VerificationResult verify_preparation(const Circuit& circuit,
                                       const ComplexState& target,
                                       double tolerance) {
-  VerificationResult result;
-  if (circuit.num_qubits() < target.num_qubits()) {
-    result.message = "circuit register narrower than target";
-    return result;
-  }
-  ComplexStatevector sv(circuit.num_qubits());
-  sv.apply(circuit);
-  // |<target|prepared>|^2 with the conjugate inner product: insensitive
-  // to global phase but penalizes any relative-phase error.
-  return from_fidelity(sv.fidelity(target), tolerance);
+  return verify_on<ComplexStatevector>(circuit, target, tolerance);
 }
 
 double preparation_overlap(const Circuit& a, const Circuit& b) {
   if (a.num_qubits() != b.num_qubits()) {
-    throw std::invalid_argument("preparation_overlap: register mismatch");
+    throw std::invalid_argument(
+        "preparation_overlap: register mismatch (" +
+        std::to_string(a.num_qubits()) + " vs " +
+        std::to_string(b.num_qubits()) + " qubits)");
   }
-  const int n = a.num_qubits();
   if (needs_complex_simulator(a) || needs_complex_simulator(b)) {
-    ComplexStatevector sa(n);
-    ComplexStatevector sb(n);
-    sa.apply(a);
-    sb.apply(b);
-    std::complex<double> ip = 0.0;
-    for (std::size_t i = 0; i < sa.amplitudes().size(); ++i) {
-      ip += std::conj(sa.amplitudes()[i]) * sb.amplitudes()[i];
-    }
-    return std::abs(ip);
+    return overlap_on<ComplexStatevector>(a, b);
   }
-  Statevector sa(n);
-  Statevector sb(n);
-  sa.apply(a);
-  sb.apply(b);
-  return std::abs(sa.inner_product(sb));
+  return overlap_on<Statevector>(a, b);
 }
 
 void verify_preparation_or_throw(const Circuit& circuit,

@@ -14,12 +14,6 @@
 #define QSP_TARGET_AVX2 __attribute__((target("avx2")))
 #endif
 
-// NOTE: this TU is compiled with -ffp-contract=off (see CMakeLists.txt) so
-// the scalar floating-point loops cannot be FMA-contracted into results
-// that differ from the mul/add/sub sequences the AVX2 kernels perform.
-// Keeping every FP element loop in this one TU is what makes the
-// scalar/AVX2 bit-identity guarantee auditable.
-
 namespace qsp {
 
 BasisIndex swap_bits(BasisIndex x, int a, int b) {
@@ -153,46 +147,6 @@ std::uint64_t weight_sum_if_bits_scalar(const std::uint64_t* words,
     if ((words[i] & m) == m) sum += words[i] >> 32;
   }
   return sum;
-}
-
-void rotate_pairs_d_scalar(double* a, double* b, std::size_t n, double co,
-                           double si) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = a[i];
-    const double y = b[i];
-    a[i] = co * x - si * y;
-    b[i] = si * x + co * y;
-  }
-}
-
-void swap_ranges_d_scalar(double* a, double* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = a[i];
-    a[i] = b[i];
-    b[i] = t;
-  }
-}
-
-void complex_scale_d_scalar(double* interleaved, std::size_t n_complex,
-                            double re, double im) {
-  for (std::size_t i = 0; i < n_complex; ++i) {
-    const double x = interleaved[2 * i];
-    const double y = interleaved[2 * i + 1];
-    interleaved[2 * i] = x * re - y * im;
-    interleaved[2 * i + 1] = y * re + x * im;
-  }
-}
-
-double parity_signed_sum_d_scalar(const double* a, std::size_t n,
-                                  std::uint32_t mask) {
-  // Four lane accumulators (element i feeds lane i % 4) mirror the AVX2
-  // register layout; the final combine order is part of the contract.
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t i = 0; i < n; ++i) {
-    const int par = parity(static_cast<BasisIndex>(i), mask);
-    lane[i & 3] += (par != 0) ? -a[i] : a[i];
-  }
-  return (lane[0] + lane[2]) + (lane[1] + lane[3]);
 }
 
 // ---------------------------- AVX2 variants --------------------------------
@@ -331,95 +285,6 @@ std::uint64_t weight_sum_if_bits_avx2(const std::uint64_t* words,
   return sum;
 }
 
-QSP_TARGET_AVX2
-void rotate_pairs_d_avx2(double* a, double* b, std::size_t n, double co,
-                         double si) {
-  const __m256d vco = _mm256_set1_pd(co);
-  const __m256d vsi = _mm256_set1_pd(si);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(a + i);
-    const __m256d y = _mm256_loadu_pd(b + i);
-    // Same mul/sub/add shape as the scalar loop; -ffp-contract=off keeps
-    // the scalar side from fusing these into FMAs.
-    const __m256d na =
-        _mm256_sub_pd(_mm256_mul_pd(vco, x), _mm256_mul_pd(vsi, y));
-    const __m256d nb =
-        _mm256_add_pd(_mm256_mul_pd(vsi, x), _mm256_mul_pd(vco, y));
-    _mm256_storeu_pd(a + i, na);
-    _mm256_storeu_pd(b + i, nb);
-  }
-  if (i < n) rotate_pairs_d_scalar(a + i, b + i, n - i, co, si);
-}
-
-QSP_TARGET_AVX2
-void swap_ranges_d_avx2(double* a, double* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(a + i);
-    const __m256d y = _mm256_loadu_pd(b + i);
-    _mm256_storeu_pd(a + i, y);
-    _mm256_storeu_pd(b + i, x);
-  }
-  if (i < n) swap_ranges_d_scalar(a + i, b + i, n - i);
-}
-
-QSP_TARGET_AVX2
-void complex_scale_d_avx2(double* interleaved, std::size_t n_complex,
-                          double re, double im) {
-  const __m256d vre = _mm256_set1_pd(re);
-  // Lane layout (low to high): (x0, y0, x1, y1); the mixed factor applies
-  // -im to x lanes and +im to y lanes, so lane k of v*vre + swap(v)*vmix
-  // is exactly x*re - y*im / y*re + x*im (IEEE a-b == a+(-b), and
-  // y*(-im) == -(y*im) exactly).
-  const __m256d vmix = _mm256_set_pd(im, -im, im, -im);
-  std::size_t i = 0;
-  for (; i + 2 <= n_complex; i += 2) {
-    double* p = interleaved + 2 * i;
-    const __m256d v = _mm256_loadu_pd(p);
-    const __m256d sw = _mm256_permute_pd(v, 0b0101);  // (y0, x0, y1, x1)
-    _mm256_storeu_pd(
-        p, _mm256_add_pd(_mm256_mul_pd(v, vre), _mm256_mul_pd(sw, vmix)));
-  }
-  if (i < n_complex) {
-    complex_scale_d_scalar(interleaved + 2 * i, n_complex - i, re, im);
-  }
-}
-
-QSP_TARGET_AVX2
-double parity_signed_sum_d_avx2(const double* a, std::size_t n,
-                                std::uint32_t mask) {
-  // Lane d accumulates elements i == d (mod 4). For an aligned block at
-  // base (base % 4 == 0): parity((base+d) & mask) =
-  // parity(base & mask) ^ parity(d & mask & 3), so the per-lane sign
-  // pattern is fixed and the whole block flips with the base parity.
-  alignas(32) double lane_sign_init[4];
-  for (int d = 0; d < 4; ++d) {
-    lane_sign_init[d] =
-        (parity(static_cast<BasisIndex>(d), mask & 3u) != 0) ? -0.0 : 0.0;
-  }
-  const __m256d lane_sign = _mm256_load_pd(lane_sign_init);
-  const __m256d flip = _mm256_set1_pd(-0.0);
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d sign = lane_sign;
-    if (parity(static_cast<BasisIndex>(i), mask) != 0) {
-      sign = _mm256_xor_pd(sign, flip);
-    }
-    const __m256d v =
-        _mm256_xor_pd(_mm256_loadu_pd(a + i), sign);  // exact +-a[i]
-    acc = _mm256_add_pd(acc, v);
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (; i < n; ++i) {
-    const int par = parity(static_cast<BasisIndex>(i), mask);
-    lane[i & 3] += (par != 0) ? -a[i] : a[i];
-  }
-  return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
-
 #endif  // QSP_WIDEOPS_HAVE_AVX2
 
 // --------------------------- dispatch wrappers -----------------------------
@@ -470,37 +335,6 @@ std::uint64_t weight_sum_if_bits(const std::uint64_t* words, std::size_t n,
   if (use_avx2()) return weight_sum_if_bits_avx2(words, n, bit_a, bit_b);
 #endif
   return weight_sum_if_bits_scalar(words, n, bit_a, bit_b);
-}
-
-void rotate_pairs_d(double* a, double* b, std::size_t n, double co,
-                    double si) {
-#if QSP_WIDEOPS_HAVE_AVX2
-  if (use_avx2()) return rotate_pairs_d_avx2(a, b, n, co, si);
-#endif
-  rotate_pairs_d_scalar(a, b, n, co, si);
-}
-
-void swap_ranges_d(double* a, double* b, std::size_t n) {
-#if QSP_WIDEOPS_HAVE_AVX2
-  if (use_avx2()) return swap_ranges_d_avx2(a, b, n);
-#endif
-  swap_ranges_d_scalar(a, b, n);
-}
-
-void complex_scale_d(double* interleaved, std::size_t n_complex, double re,
-                     double im) {
-#if QSP_WIDEOPS_HAVE_AVX2
-  if (use_avx2()) return complex_scale_d_avx2(interleaved, n_complex, re, im);
-#endif
-  complex_scale_d_scalar(interleaved, n_complex, re, im);
-}
-
-double parity_signed_sum_d(const double* a, std::size_t n,
-                           std::uint32_t mask) {
-#if QSP_WIDEOPS_HAVE_AVX2
-  if (use_avx2()) return parity_signed_sum_d_avx2(a, n, mask);
-#endif
-  return parity_signed_sum_d_scalar(a, n, mask);
 }
 
 }  // namespace wideops

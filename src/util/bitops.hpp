@@ -63,10 +63,9 @@ constexpr int parity(BasisIndex x, BasisIndex mask) {
 // ---------------------------------------------------------------------------
 // Wide primitives (the runtime-dispatched SIMD layer, util/simd.hpp).
 //
-// The hot loops of the canonicalization scan, the slot-column tests, and
-// the statevector pair kernels are expressed as batch operations over
-// contiguous words so one dispatch decision covers the whole loop. Two
-// word layouts appear:
+// The hot loops of the canonicalization scan and the slot-column tests are
+// expressed as batch operations over contiguous 64-bit words so one
+// dispatch decision covers the whole loop. Two word layouts appear:
 //
 //  - *packed canonical words*: (index << 32) | count, the CanonicalKey
 //    element layout of core/canonical.cpp;
@@ -74,12 +73,12 @@ constexpr int parity(BasisIndex x, BasisIndex mask) {
 //    64-bit word — index in the LOW half, count in the HIGH half on the
 //    little-endian hosts this layer targets.
 //
-// Every primitive has `_scalar` and (on x86-64) `_avx2` variants that
-// are bit-identical by construction — integer ops exactly, floating
-// point by matching operation shape and reduction order (the TU is built
-// with -ffp-contract=off so the scalar loops cannot be FMA-contracted
-// away from the vector ops). The undecorated name dispatches on
-// simd::active_isa(). Differential coverage: tests/test_simd.cpp.
+// Every primitive is integer-only and has `_scalar` and (on x86-64)
+// `_avx2` variants that compute exactly the same words. The undecorated
+// name dispatches on simd::active_isa(). Differential coverage:
+// tests/test_simd.cpp. Floating-point loops (the statevector kernels,
+// the multiplexor angle transform) have no twins and live with their
+// callers: AVX2 variants of them won on no measured workload.
 // ---------------------------------------------------------------------------
 
 namespace wideops {
@@ -134,34 +133,6 @@ std::uint64_t weight_sum_if_bits(const std::uint64_t* words, std::size_t n,
 std::uint64_t weight_sum_if_bits_scalar(const std::uint64_t* words,
                                         std::size_t n, int bit_a, int bit_b);
 
-/// The Ry pair rotation over two contiguous amplitude runs:
-/// a[i] <- co*a[i] - si*b[i], b[i] <- si*a[i] + co*b[i].
-void rotate_pairs_d(double* a, double* b, std::size_t n, double co,
-                    double si);
-void rotate_pairs_d_scalar(double* a, double* b, std::size_t n, double co,
-                           double si);
-
-/// Swap two contiguous amplitude runs (X / CNOT block swaps).
-void swap_ranges_d(double* a, double* b, std::size_t n);
-void swap_ranges_d_scalar(double* a, double* b, std::size_t n);
-
-/// Multiply n_complex interleaved (re, im) pairs by the unit complex
-/// (re + i*im): x <- x*re - y*im, y <- y*re + x*im (Rz diagonal).
-void complex_scale_d(double* interleaved, std::size_t n_complex, double re,
-                     double im);
-void complex_scale_d_scalar(double* interleaved, std::size_t n_complex,
-                            double re, double im);
-
-/// Batched signed parity reduction: sum of parity(i & mask) ? -a[i] :
-/// a[i] over i in [0, n) — the Walsh-style angle transform of
-/// circuit/lowering.cpp. Both variants accumulate four lane sums
-/// (element i feeds lane i % 4) and combine them as
-/// (l0 + l2) + (l1 + l3), so scalar and AVX2 round identically.
-double parity_signed_sum_d(const double* a, std::size_t n,
-                           std::uint32_t mask);
-double parity_signed_sum_d_scalar(const double* a, std::size_t n,
-                                  std::uint32_t mask);
-
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define QSP_WIDEOPS_HAVE_AVX2 1
 void copy_xor_high32_avx2(std::uint64_t* dst, const std::uint64_t* src,
@@ -177,13 +148,6 @@ std::uint64_t weight_sum_if_bit_avx2(const std::uint64_t* words,
                                      std::size_t n, int bit);
 std::uint64_t weight_sum_if_bits_avx2(const std::uint64_t* words,
                                       std::size_t n, int bit_a, int bit_b);
-void rotate_pairs_d_avx2(double* a, double* b, std::size_t n, double co,
-                         double si);
-void swap_ranges_d_avx2(double* a, double* b, std::size_t n);
-void complex_scale_d_avx2(double* interleaved, std::size_t n_complex,
-                          double re, double im);
-double parity_signed_sum_d_avx2(const double* a, std::size_t n,
-                                std::uint32_t mask);
 #else
 #define QSP_WIDEOPS_HAVE_AVX2 0
 #endif

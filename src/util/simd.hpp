@@ -1,12 +1,14 @@
 #pragma once
-// Runtime SIMD instruction-set dispatch for the wide kernels in
-// util/bitops (packed slot words, statevector pair rotations). The active
+// Runtime SIMD instruction-set dispatch for the integer wide primitives in
+// util/bitops (packed canonical words and slot-entry columns). The active
 // ISA is resolved exactly once per process: the QSP_SIMD environment
 // variable ("scalar" or "avx2") wins when set and satisfiable, otherwise
 // the best ISA the CPU supports is selected. Every wide primitive has a
-// scalar and (on x86-64) an AVX2 implementation that are bit-identical by
-// construction, so the choice is a pure performance knob — results never
-// depend on it (pinned by the differential suites in tests/test_simd.cpp).
+// scalar and (on x86-64) an AVX2 implementation that compute the same
+// words, so the choice is a pure performance knob — results never depend
+// on it (pinned by the differential suites in tests/test_simd.cpp).
+// Floating-point code (the statevector simulator, the multiplexor angle
+// transform) has one implementation and does not dispatch.
 
 #include <atomic>
 
@@ -28,8 +30,8 @@ Isa active_isa();
 /// Human-readable name ("scalar" / "avx2") for logs and bench JSON.
 const char* isa_name(Isa isa);
 
-/// Test-only override of the dispatch choice, e.g. to run one simulator
-/// pass per ISA and compare amplitudes bitwise. Returns the previous
+/// Test-only override of the dispatch choice, e.g. to compute canonical
+/// keys once per ISA and compare them. Returns the previous
 /// ISA. Requesting kAvx2 without support throws. Not for production use:
 /// the override is process-global.
 Isa set_isa_for_testing(Isa isa);

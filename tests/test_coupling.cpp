@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -57,6 +58,39 @@ TEST(Coupling, FactoriesAndDistances) {
   EXPECT_TRUE(CouplingGraph::full(4).is_complete());
   EXPECT_THROW(CouplingGraph(2, {{0, 0}}), std::invalid_argument);
   EXPECT_THROW(CouplingGraph(2, {{0, 3}}), std::invalid_argument);
+}
+
+TEST(Coupling, OutOfRangeWidthsThrowBeforeAllocating) {
+  // Every width here is rejected before an edge list or adjacency table
+  // is sized; the large ones would ask for gigabytes otherwise.
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  for (const int n : {-1, 0, kMaxQubits + 1, 100000, kIntMax}) {
+    EXPECT_THROW(CouplingGraph(n, {}), std::invalid_argument) << n;
+    EXPECT_THROW(CouplingGraph::full(n), std::invalid_argument) << n;
+    EXPECT_THROW(CouplingGraph::line(n), std::invalid_argument) << n;
+    EXPECT_THROW(CouplingGraph::ring(n), std::invalid_argument) << n;
+    EXPECT_THROW(CouplingGraph::star(n), std::invalid_argument) << n;
+  }
+  // rows * cols past kMaxQubits, and past INT_MAX.
+  EXPECT_THROW(CouplingGraph::grid(5, 5), std::invalid_argument);
+  EXPECT_THROW(CouplingGraph::grid(1, kMaxQubits + 1), std::invalid_argument);
+  EXPECT_THROW(CouplingGraph::grid(100000, 100000), std::invalid_argument);
+  EXPECT_THROW(CouplingGraph::grid(kIntMax, kIntMax), std::invalid_argument);
+  EXPECT_THROW(CouplingGraph::grid(65536, 65536), std::invalid_argument);
+  // Odd distances whose d * (2d - 1) overflows int.
+  EXPECT_THROW(CouplingGraph::heavy_hex(46341), std::invalid_argument);
+  EXPECT_THROW(CouplingGraph::heavy_hex(kIntMax), std::invalid_argument);
+  try {
+    (void)CouplingGraph::full(100000);
+    ADD_FAILURE() << "full(100000) accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("100000"), std::string::npos)
+        << e.what();
+  }
+  // The widest devices still build.
+  EXPECT_EQ(CouplingGraph::full(kMaxQubits).num_qubits(), kMaxQubits);
+  EXPECT_EQ(CouplingGraph::grid(4, 6).num_qubits(), kMaxQubits);
+  EXPECT_EQ(CouplingGraph(kMaxQubits, {}).num_qubits(), kMaxQubits);
 }
 
 TEST(Coupling, DisconnectedGraphDetected) {

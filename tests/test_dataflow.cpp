@@ -18,7 +18,7 @@
 #include "circuit/pass_pipeline.hpp"
 #include "flow/solver.hpp"
 #include "pass_test_util.hpp"
-#include "phase/complex_statevector.hpp"
+#include "sim/statevector.hpp"
 #include "sim/verifier.hpp"
 #include "state/state_factory.hpp"
 #include "util/rng.hpp"

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "pass_test_util.hpp"
 #include "sim/statevector.hpp"
@@ -257,6 +260,30 @@ TEST(Lowering, MultiplexorAnglesInvertWalsh) {
       acc += (parity(s, gray_code(j)) != 0) ? -phi[j] : phi[j];
     }
     EXPECT_NEAR(acc, a[s], 1e-12);
+  }
+}
+
+TEST(Lowering, MultiplexorAnglesKeepFourLaneSumOrder) {
+  // Each angle sums its signed pattern angles in four lanes (element i
+  // feeds lane i % 4) combined as (l0 + l2) + (l1 + l3), then divides by
+  // the slot count. A one-ulp change there can flip zero-rotation elision
+  // and with it the CNOT counts, so the rounding order is pinned bitwise.
+  Rng rng(37);
+  for (std::uint32_t slots = 1; slots <= 256; slots *= 2) {
+    std::vector<double> a(slots);
+    for (double& v : a) v = rng.next_double(-3, 3);
+    const auto phi = ucry_multiplexor_angles(a);
+    for (std::uint32_t j = 0; j < slots; ++j) {
+      double lane[4] = {0.0, 0.0, 0.0, 0.0};
+      for (std::uint32_t i = 0; i < slots; ++i) {
+        lane[i & 3] += (parity(i, gray_code(j)) != 0) ? -a[i] : a[i];
+      }
+      const double expected = ((lane[0] + lane[2]) + (lane[1] + lane[3])) /
+                              static_cast<double>(slots);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(phi[j]),
+                std::bit_cast<std::uint64_t>(expected))
+          << "slots=" << slots << " j=" << j;
+    }
   }
 }
 

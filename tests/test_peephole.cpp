@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "circuit/pass_pipeline.hpp"
-#include "phase/complex_statevector.hpp"
 #include "pass_test_util.hpp"
+#include "sim/statevector.hpp"
 #include "sim/verifier.hpp"
 #include "util/rng.hpp"
 

@@ -6,7 +6,6 @@
 #include <complex>
 
 #include "circuit/lowering.hpp"
-#include "phase/complex_statevector.hpp"
 #include "sim/statevector.hpp"
 #include "sim/verifier.hpp"
 #include "state/state_factory.hpp"
