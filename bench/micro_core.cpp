@@ -1,7 +1,7 @@
 // Microbenchmarks for the exact-synthesis primitives: canonical keys,
 // move enumeration, arc application, heuristics, the A* kernel at 1, 2
-// and 8 threads on the paper's headline instance, and statevector
-// simulation.
+// and 8 threads on the paper's headline instance, statevector
+// simulation, and Solver::prepare end to end on a fixed corpus.
 //
 // A hand-timed kernel sweep emits one canonical-schema json_row per
 // kernel cell — this is what bench/baseline/micro_core.jsonl and
@@ -14,10 +14,12 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "circuit/lowering.hpp"
 #include "core/astar.hpp"
 #include "core/canonical.hpp"
 #include "core/heuristic.hpp"
 #include "core/moves.hpp"
+#include "flow/solver.hpp"
 #include "prep/nflow.hpp"
 #include "sim/statevector.hpp"
 #include "state/state_factory.hpp"
@@ -334,6 +336,59 @@ void emit_search_rows() {
   }
 }
 
+/// Solver::prepare on a fixed seeded corpus of sparse, dense and Dicke
+/// states, with node budgets only, so the outputs are deterministic. The
+/// checksum covers every output gate's kind, wires and angle bits and
+/// each output's lowered CNOT count: a build whose floating-point code
+/// rounds differently (say, multiply-adds contracted into FMAs) cannot
+/// match the baseline. The one pass is timed as `seconds`, which
+/// bench_compare --strict does not gate.
+void emit_solver_row() {
+  std::vector<QuantumState> corpus;
+  Rng rng(31);
+  for (int n = 8; n <= 12; ++n) {
+    corpus.push_back(make_random_uniform(n, 2 * n, rng));  // sparse path
+  }
+  for (int n = 5; n <= 7; ++n) {
+    corpus.push_back(make_random_uniform(n, 1 << (n - 1), rng));  // dense
+  }
+  corpus.push_back(make_dicke(5, 2));
+  corpus.push_back(make_dicke(6, 3));
+  corpus.push_back(make_w(10));
+  WorkflowOptions options;
+  options.exact.astar.time_budget_seconds = 0.0;
+  options.exact.beam.time_budget_seconds = 0.0;
+  options.exact.astar.node_budget = 1000;
+  options.exact.beam.beam_width = 1;
+  const Solver solver(options);
+
+  std::uint64_t ck = checksum_bytes(nullptr, 0);
+  const Timer timer;
+  for (const QuantumState& state : corpus) {
+    const Circuit circuit = solver.prepare(state).circuit;
+    for (const Gate& g : circuit.gates()) {
+      const int fields[] = {static_cast<int>(g.kind()), g.target()};
+      ck = checksum_bytes(fields, sizeof fields, ck);
+      for (const ControlLiteral& c : g.controls()) {
+        const int literal[] = {c.qubit, c.positive ? 1 : 0};
+        ck = checksum_bytes(literal, sizeof literal, ck);
+      }
+      const double theta = g.theta();
+      ck = checksum_bytes(&theta, sizeof theta, ck);
+      ck = checksum_bytes(g.angles().data(),
+                          g.angles().size() * sizeof(double), ck);
+    }
+    const std::int64_t cnots = count_cnots_after_lowering(circuit);
+    ck = checksum_bytes(&cnots, sizeof cnots, ck);
+  }
+  qsp::bench::json_row("micro_core",
+                       {{"kernel", "solver_prepare"},
+                        {"n", 12},
+                        {"seconds", timer.seconds()},
+                        {"checksum", ck},
+                        {"isa", simd::isa_name(simd::active_isa())}});
+}
+
 void emit_kernel_json() {
   emit_canonical_rows();
   emit_move_rows();
@@ -341,6 +396,7 @@ void emit_kernel_json() {
   emit_compress_free_row();
   emit_statevector_rows();
   emit_search_rows();
+  emit_solver_row();
 }
 
 }  // namespace

@@ -57,7 +57,11 @@ struct SharedState {
 
 class HdaStar {
  public:
-  HdaStar(const SearchOptions& options, const SlotState& target)
+  /// `cost_bound` seeds the incumbent: a bound without a goal id, so no
+  /// pop at or above it happens and termination certifies that nothing
+  /// below it exists.
+  HdaStar(const SearchOptions& options, const SlotState& target,
+          std::int64_t cost_bound)
       : options_(options),
         target_(target),
         h_(search_heuristic(
@@ -70,7 +74,9 @@ class HdaStar {
             options.coupling.get(), level_)),
         budget_(options.time_budget_seconds, options.node_budget),
         num_shards_(resolve_num_threads(options.num_threads)),
-        shards_(static_cast<std::size_t>(num_shards_)) {}
+        shards_(static_cast<std::size_t>(num_shards_)) {
+    shared_.incumbent_g.store(cost_bound);
+  }
 
   SynthesisResult run() {
     const Timer timer;
@@ -111,18 +117,16 @@ class HdaStar {
       const MutexLock lock(shared_.incumbent_mutex);
       goal = shared_.incumbent_gid;
     }
-    result.stats.completed =
-        !shared_.aborted.load() && goal != SearchNode::kNoParent;
     result.stats.budget_exhausted = shared_.aborted.load();
+    result.stats.completed = !result.stats.budget_exhausted;
 
-    if (goal != SearchNode::kNoParent) {
+    // A budget abort returns no circuit: other shards may have rebound the
+    // incumbent's ancestors since it was popped (see synthesize()).
+    if (result.stats.completed && goal != SearchNode::kNoParent) {
       result.found = true;
-      // Certified optimal only on a clean termination with an exhaustive
-      // arc set: above the candidate cap the structured fallback may omit
-      // arcs, and a budget abort downgrades the incumbent to an anytime
-      // result.
-      result.optimal = result.stats.completed &&
-                       target_.total() <= options_.full_candidate_cap;
+      // Certified optimal only with an exhaustive arc set: above the
+      // candidate cap the structured fallback may omit arcs.
+      result.optimal = target_.total() <= options_.full_candidate_cap;
       result.cnot_cost = node_at(goal).g;
       result.circuit = build_goal_circuit(
           [this](std::int64_t gid) -> const SearchNode& {
@@ -284,8 +288,8 @@ class HdaStar {
   /// shard is idle with frontier min f >= incumbent and no message is in
   /// flight. The counters are read before and after the per-shard pass;
   /// any concurrent send or delivery changes them and voids the attempt.
-  /// (With no incumbent the same condition — every frontier empty, no
-  /// mail — certifies exhaustion without a goal.)
+  /// (With the cost bound still the incumbent, the same condition
+  /// certifies that no goal below the bound exists.)
   bool try_terminate() {
     const std::int64_t incumbent = shared_.incumbent_g.load();
     const std::uint64_t sent_before = shared_.sent.load();
@@ -325,17 +329,19 @@ AStarSynthesizer::AStarSynthesizer(SearchOptions options)
   validate_search_coupling("AStarSynthesizer", options_.coupling.get());
 }
 
-SynthesisResult AStarSynthesizer::synthesize(const QuantumState& target) const {
+SynthesisResult AStarSynthesizer::synthesize(const QuantumState& target,
+                                             std::int64_t cost_bound) const {
   const auto slot = SlotState::from_state(target);
   if (!slot.has_value()) {
     throw std::invalid_argument(
         "AStarSynthesizer: target has no slot decomposition (negative or "
         "irrational amplitudes); use the workflow solver instead");
   }
-  return synthesize(*slot);
+  return synthesize(*slot, cost_bound);
 }
 
-SynthesisResult AStarSynthesizer::synthesize(const SlotState& target) const {
+SynthesisResult AStarSynthesizer::synthesize(const SlotState& target,
+                                             std::int64_t cost_bound) const {
   // The wall clock starts before the cache probe: time spent blocked on
   // another thread's in-flight search of this class counts against this
   // search's own budget, so a timed-out wait can never double the
@@ -344,11 +350,12 @@ SynthesisResult AStarSynthesizer::synthesize(const SlotState& target) const {
   ScopedCacheProbe probe(options_.cache.get(), target,
                          options_.coupling.get(), options_.max_controls,
                          options_.time_budget_seconds);
-  if (probe.hit()) return probe.result();
+  if (probe.hit()) return probe.result(cost_bound);
 
   SearchOptions search_options = options_;
   search_options.time_budget_seconds = clamp_budget(0.0, overall);
-  const SynthesisResult result = HdaStar(search_options, target).run();
+  const SynthesisResult result =
+      HdaStar(search_options, target, cost_bound).run();
   probe.publish(result);
   return result;
 }

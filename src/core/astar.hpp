@@ -5,6 +5,12 @@
 // zero-cost disentangling suffix, and provably CNOT-optimal whenever the
 // search completes (admissible heuristic + node reopening).
 //
+// A caller that only keeps a circuit cheaper than some competitor passes
+// that competitor's cost as a strict upper bound. The search treats it as
+// an incumbent without a circuit: it never pops a node with f at or above
+// the bound, and once every frontier is there it certifies that no
+// circuit below the bound exists.
+//
 // The one kernel is sharded HDA* (Kishimoto et al.): the open list is
 // partitioned across SearchOptions::num_threads shards by hashing each
 // node's canonical key, so every equivalence class has exactly one owning
@@ -22,6 +28,7 @@
 // docs/ARCHITECTURE.md). At one shard the first goal pop is that point.
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "arch/coupling.hpp"
@@ -35,6 +42,10 @@
 namespace qsp {
 
 class SearchCache;
+
+/// The default cost bound of every synthesize(): no bound.
+inline constexpr std::int64_t kNoCostBound =
+    std::numeric_limits<std::int64_t>::max();
 
 struct SearchOptions {
   HeuristicMode heuristic = HeuristicMode::kComponent;
@@ -94,8 +105,10 @@ struct SearchStats {
   std::uint64_t arena_blocks = 0;
   std::uint64_t arena_bytes_peak = 0;
   double seconds = 0.0;
-  /// True if the A* search ran to completion (goal popped and certified
-  /// against every shard's frontier) within budget.
+  /// True if the A* search ran to completion within budget: its goal is
+  /// certified against every shard's frontier, or, without a goal, every
+  /// frontier holds only f at or above the cost bound (no circuit below
+  /// the bound exists among the searched arcs).
   bool completed = false;
   /// True if the search stopped early because its node or wall-clock
   /// budget ran out (A*: aborted before certifying; beam: a level was
@@ -118,26 +131,29 @@ class AStarSynthesizer {
  public:
   explicit AStarSynthesizer(SearchOptions options = {});
 
-  /// Synthesize a preparation circuit for the slot-encoded target.
+  /// Synthesize a preparation circuit for the slot-encoded target, of
+  /// CNOT cost strictly below `cost_bound`. A goal below the bound is the
+  /// true optimum, so the result is the unbounded search's whenever that
+  /// costs less than the bound; otherwise it is not found, with
+  /// `completed` once the search proved that nothing cheaper exists.
   ///
   /// Budget rule: the node and wall budgets are checked before every pop
   /// and while a shard waits for work, never between a goal pop and the
   /// termination check that certifies it, so a deadline passing in that
   /// window cannot downgrade a goal that is already certifiable. A wall
   /// deadline that cuts an expansion short ends the search as a budget
-  /// abort, since the lost successors void every later certificate. When
-  /// the budget runs out before any goal was popped, the result is not found
-  /// with `budget_exhausted`. When it runs out after an incumbent goal was
-  /// popped but before every shard's frontier certified it, the incumbent
-  /// is returned as an anytime result: `found`, `optimal == false` and
-  /// `budget_exhausted`. At one shard no incumbent exists before the goal
-  /// pop that certifies it, so a one-thread search never returns an
-  /// anytime incumbent.
-  SynthesisResult synthesize(const SlotState& target) const;
+  /// abort, since the lost successors void every later certificate. A
+  /// budget abort returns no circuit at every shard count (not found,
+  /// `budget_exhausted`), even when some shard had popped a goal: other
+  /// shards may since have rebound that goal's ancestors to cheaper
+  /// representatives, so its arc chain need not prepare the target.
+  SynthesisResult synthesize(const SlotState& target,
+                             std::int64_t cost_bound = kNoCostBound) const;
 
   /// Convenience: decompose a sparse state into slots first. Throws
   /// std::invalid_argument if the state has no slot decomposition.
-  SynthesisResult synthesize(const QuantumState& target) const;
+  SynthesisResult synthesize(const QuantumState& target,
+                             std::int64_t cost_bound = kNoCostBound) const;
 
   const SearchOptions& options() const { return options_; }
 

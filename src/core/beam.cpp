@@ -172,9 +172,11 @@ struct alignas(64) BeamShard {
 
 class ShardedBeam {
  public:
-  ShardedBeam(const BeamOptions& options, const SlotState& target)
+  ShardedBeam(const BeamOptions& options, const SlotState& target,
+              std::int64_t cost_bound)
       : options_(options),
         target_(target),
+        cost_bound_(cost_bound),
         h_(search_heuristic(options.heuristic, options.coupling.get())),
         level_(effective_canonical_level(options.canonical,
                                          options.coupling.get())),
@@ -201,8 +203,9 @@ class ShardedBeam {
     const int root_shard = owner_of(root_key);
     BeamShard& root_home = shards_[static_cast<std::size_t>(root_shard)];
     root_home.best_g.emplace(std::move(root_key), 0);
-    root_home.nodes.append(SearchNode{target_, 0, h_(target_),
-                                      SearchNode::kNoParent, Move{}});
+    const std::int64_t root_h = h_(target_);
+    root_home.nodes.append(
+        SearchNode{target_, 0, root_h, SearchNode::kNoParent, Move{}});
     const std::int64_t root_gid = make_shard_gid(root_shard, 0);
 
     const bool root_is_goal = free_reducible(target_, level_);
@@ -213,7 +216,8 @@ class ShardedBeam {
 
     beam_.push_back(root_gid);
     frozen_goal_g_ = goal_g_;
-    done_ = root_is_goal;
+    // The root is the first frontier, so merge_level's bound stop applies.
+    done_ = root_is_goal || root_h >= cost_bound_;
     if (deadline_.expired() && !done_) {
       budget_exhausted_.store(true);
       done_ = true;
@@ -238,7 +242,7 @@ class ShardedBeam {
     }
     result.stats.budget_exhausted = budget_exhausted_.load();
     result.stats.seconds = timer.seconds();
-    if (goal_gid_ >= 0) {
+    if (goal_gid_ >= 0 && goal_g_ < cost_bound_) {
       result.found = true;
       result.optimal = false;  // beam search gives no certificate
       result.cnot_cost = node_at(goal_gid_).g;
@@ -453,6 +457,15 @@ class ShardedBeam {
         return c.g + c.h >= goal_g_;
       });
     }
+    // End the descent once no frontier state can reach a goal below the
+    // cost bound (h admissible). The test takes the whole truncated
+    // frontier, never one state, so up to the stop the frontier is the
+    // unbounded descent's, and so is every goal below the bound.
+    if (std::all_of(merged.begin(), merged.end(), [&](const BeamCandidate& c) {
+          return c.g + c.h >= cost_bound_;
+        })) {
+      merged.clear();
+    }
     beam_.clear();
     beam_.reserve(merged.size());
     for (const BeamCandidate& c : merged) beam_.push_back(c.id);
@@ -468,6 +481,8 @@ class ShardedBeam {
 
   const BeamOptions& options_;
   const SlotState& target_;
+  /// Goals at or above this cost are not returned (kNoCostBound: none).
+  const std::int64_t cost_bound_;
   /// The shared searcher heuristic (search_core::search_heuristic); the
   /// beam carries no certificate, so it always prices the heuristic
   /// against the device when a coupling is set.
@@ -507,16 +522,18 @@ BeamSynthesizer::BeamSynthesizer(BeamOptions options) : options_(options) {
   validate_beam_options("BeamSynthesizer", options_);
 }
 
-SynthesisResult BeamSynthesizer::synthesize(const QuantumState& target) const {
+SynthesisResult BeamSynthesizer::synthesize(const QuantumState& target,
+                                            std::int64_t cost_bound) const {
   const auto slot = SlotState::from_state(target);
   if (!slot.has_value()) {
     throw std::invalid_argument(
         "BeamSynthesizer: target has no slot decomposition");
   }
-  return synthesize(*slot);
+  return synthesize(*slot, cost_bound);
 }
 
-SynthesisResult BeamSynthesizer::synthesize(const SlotState& target) const {
+SynthesisResult BeamSynthesizer::synthesize(const SlotState& target,
+                                            std::int64_t cost_bound) const {
   // Consult the equivalence cache: a stored certified-optimal circuit
   // beats any beam descent. The probe is consult-only — beam results
   // never carry the certificate, so claiming in-flight ownership would
@@ -526,8 +543,8 @@ SynthesisResult BeamSynthesizer::synthesize(const SlotState& target) const {
                          options_.coupling.get(), options_.max_controls,
                          options_.time_budget_seconds,
                          /*consult_only=*/true);
-  if (probe.hit()) return probe.result();
-  return ShardedBeam(options_, target).run();
+  if (probe.hit()) return probe.result(cost_bound);
+  return ShardedBeam(options_, target, cost_bound).run();
 }
 
 }  // namespace qsp

@@ -53,8 +53,15 @@ class BeamSynthesizer {
  public:
   explicit BeamSynthesizer(BeamOptions options = {});
 
-  SynthesisResult synthesize(const SlotState& target) const;
-  SynthesisResult synthesize(const QuantumState& target) const;
+  /// Descend toward a preparation circuit of CNOT cost strictly below
+  /// `cost_bound`. The descent stops once every state of its frontier has
+  /// g + h at or above the bound; until then its frontier is the unbounded
+  /// one, so a result below the bound is the unbounded descent's at every
+  /// thread count, and any other result is not found.
+  SynthesisResult synthesize(const SlotState& target,
+                             std::int64_t cost_bound = kNoCostBound) const;
+  SynthesisResult synthesize(const QuantumState& target,
+                             std::int64_t cost_bound = kNoCostBound) const;
 
   const BeamOptions& options() const { return options_; }
 

@@ -2,7 +2,8 @@
 // Facade over the exact A* solver with an anytime beam fallback. This is
 // the "exact CNOT synthesis" entry point used by the workflow (Fig. 5) and
 // by the benches; results carry an `optimal` certificate only when A*
-// completed.
+// completed. With a cost bound, an A* that proves nothing cheaper exists
+// ends the attempt without the beam.
 
 #include "core/astar.hpp"
 #include "core/beam.hpp"
@@ -11,7 +12,8 @@ namespace qsp {
 
 struct ExactSynthesisOptions {
   SearchOptions astar;
-  /// The fallback search, run whenever A* ends without a circuit.
+  /// The fallback search, run whenever A* ends without a circuit and
+  /// without a proof that none below the cost bound exists.
   BeamOptions beam;
   /// Overall wall-clock budget for the exact tail (0 = unlimited). Wired
   /// into every nested search's SearchBudget: A* gets at most the
@@ -26,8 +28,13 @@ class ExactSynthesizer {
  public:
   explicit ExactSynthesizer(ExactSynthesisOptions options = {});
 
-  SynthesisResult synthesize(const SlotState& target) const;
-  SynthesisResult synthesize(const QuantumState& target) const;
+  /// A* first, then the beam unless A* returned a circuit or proved that
+  /// none below `cost_bound` exists. Both searches get the bound, so the
+  /// result is found only below it (see AStarSynthesizer::synthesize).
+  SynthesisResult synthesize(const SlotState& target,
+                             std::int64_t cost_bound = kNoCostBound) const;
+  SynthesisResult synthesize(const QuantumState& target,
+                             std::int64_t cost_bound = kNoCostBound) const;
 
   const ExactSynthesisOptions& options() const { return options_; }
 

@@ -45,6 +45,15 @@ ScopedCacheProbe::~ScopedCacheProbe() {
   if (open_) cache_->end(*target_, witness_, fingerprint_, nullptr);
 }
 
+SynthesisResult ScopedCacheProbe::result(std::int64_t cost_bound) const {
+  if (lookup_.result->found && lookup_.result->cnot_cost >= cost_bound) {
+    SynthesisResult dropped;
+    dropped.stats = lookup_.result->stats;
+    return dropped;
+  }
+  return *lookup_.result;
+}
+
 void ScopedCacheProbe::publish(const SynthesisResult& result) {
   if (!open_) return;
   open_ = false;

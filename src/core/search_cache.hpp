@@ -96,7 +96,9 @@ class ScopedCacheProbe {
 
   /// True when the cache answered; result() is the cached synthesis.
   bool hit() const { return lookup_.claim == SearchCache::Claim::kHit; }
-  const SynthesisResult& result() const { return *lookup_.result; }
+  /// The cached synthesis as a search bounded by `cost_bound` returns it:
+  /// a circuit at or above the bound is dropped (not found).
+  SynthesisResult result(std::int64_t cost_bound) const;
 
   /// Publish the search outcome (owner) — no-op on hit/independent
   /// claims. Without a publish, the destructor abandons the claim.

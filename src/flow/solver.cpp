@@ -38,12 +38,16 @@ Solver::Solver(WorkflowOptions options) : options_(std::move(options)) {
 Circuit Solver::prepare_via_exact_tail(const QuantumState& reduced,
                                        bool* used_exact,
                                        bool* budget_exhausted) const {
-  return exact_tail(reduced, used_exact, budget_exhausted, Deadline(0.0));
+  // Without a cost bound the tail always has a circuit.
+  return *exact_tail(reduced, used_exact, budget_exhausted, Deadline(0.0),
+                     kNoCostBound);
 }
 
-Circuit Solver::exact_tail(const QuantumState& reduced, bool* used_exact,
-                           bool* budget_exhausted,
-                           const Deadline& deadline) const {
+std::optional<Circuit> Solver::exact_tail(const QuantumState& reduced,
+                                          bool* used_exact,
+                                          bool* budget_exhausted,
+                                          const Deadline& deadline,
+                                          std::int64_t cost_bound) const {
   if (used_exact != nullptr) *used_exact = false;
   const QuantumState target = normalize_global_sign(reduced);
   const CouplingGraph* device = options_.coupling.get();
@@ -52,21 +56,19 @@ Circuit Solver::exact_tail(const QuantumState& reduced, bool* used_exact,
   const int width = device != nullptr
                         ? std::max(device->num_qubits(), target.num_qubits())
                         : target.num_qubits();
-  const auto widen = [width](Circuit circuit) {
+  // Cost-aware cardinality reduction, which handles arbitrary real
+  // amplitudes: the tail for everything the exact kernel does not take.
+  const auto reduce = [&] {
+    MFlowOptions fallback = options_.mflow;
+    fallback.strategy = MFlowOptions::PairStrategy::kCheapest;
+    Circuit circuit = mflow_prepare(target, fallback).circuit;
     if (circuit.num_qubits() == width) return circuit;
     Circuit wide(width);
     wide.append(circuit);
     return wide;
   };
   const auto slot = SlotState::from_state(target);
-  if (!slot.has_value()) {
-    // Signed or irrational tail: finish with cost-aware cardinality
-    // reduction, which handles arbitrary real amplitudes.
-    MFlowOptions fallback = options_.mflow;
-    fallback.strategy = MFlowOptions::PairStrategy::kCheapest;
-    const MFlowResult res = mflow_prepare(target, fallback);
-    return widen(res.circuit);
-  }
+  if (!slot.has_value()) return reduce();  // signed or irrational tail
 
   SlotState peeled = *slot;
   const std::vector<Gate> peel = free_peel_gates(peeled);
@@ -91,9 +93,7 @@ Circuit Solver::exact_tail(const QuantumState& reduced, bool* used_exact,
         // The core is so spread out that connecting it needs more wires
         // than the exact kernel should search over; reduce instead (the
         // final routing still makes the result conformant).
-        MFlowOptions fallback = options_.mflow;
-        fallback.strategy = MFlowOptions::PairStrategy::kCheapest;
-        return widen(mflow_prepare(target, fallback).circuit);
+        return reduce();
       }
       tail_coupling =
           std::make_shared<const CouplingGraph>(device->induced(host));
@@ -132,15 +132,17 @@ Circuit Solver::exact_tail(const QuantumState& reduced, bool* used_exact,
     // reduction fallback below still returns a circuit.
     exact_options.time_budget_seconds =
         clamp_budget(exact_options.time_budget_seconds, deadline);
+    // The peel gates are free, so the narrow search's cost is the tail's.
     const ExactSynthesizer exact(exact_options);
-    const SynthesisResult res = exact.synthesize(narrow);
+    const SynthesisResult res = exact.synthesize(narrow, cost_bound);
     if (budget_exhausted != nullptr && res.stats.budget_exhausted) {
       *budget_exhausted = true;
     }
     if (!res.found) {
-      MFlowOptions fallback = options_.mflow;
-      fallback.strategy = MFlowOptions::PairStrategy::kCheapest;
-      return widen(mflow_prepare(target, fallback).circuit);
+      // Under a bound the caller keeps only a cheaper tail, and the
+      // reduction is not one it asked for.
+      if (cost_bound != kNoCostBound) return std::nullopt;
+      return reduce();
     }
     for (const Gate& g : res.circuit.gates()) {
       prep.append(g.remapped(host));
@@ -237,32 +239,55 @@ WorkflowResult Solver::prepare(const QuantumState& target) const {
     return active <= options_.exact_max_qubits;
   };
 
+  // An exact attempt is kept only when its selection cost is below its
+  // competitor's, so that cost bounds the attempt's search. Without a
+  // device the search cost of every arc is its lowered count with zero
+  // rotations elided, and lowering counts add gate by gate. On a device
+  // selection routes over the whole device while the search prices the
+  // induced host patch, whose distances may differ: no bound there.
+  LoweringOptions elide;
+  elide.elide_zero_rotations = true;
+  const auto bound_by = [device](std::int64_t competitor_cost) {
+    return device == nullptr ? competitor_cost : kNoCostBound;
+  };
+
   if (fits_thresholds(target)) {
     result.circuit = routed_onto_device(
-        exact_tail(target, &result.used_exact_tail,
-                   &result.budget_exhausted, deadline));
+        *exact_tail(target, &result.used_exact_tail,
+                    &result.budget_exhausted, deadline, kNoCostBound));
     result.found = true;
     return result;
   }
 
-  auto sparse_prepare = [&](bool* used_exact) -> std::optional<Circuit> {
+  // Cardinality reduction, then the exact tail. `cost_bound` bounds the
+  // whole circuit: the tail's share is what the backward reduction gates
+  // leave of it, and nullopt means the tail cannot come in under that (or
+  // the reduction timed out).
+  auto sparse_prepare = [&](bool* used_exact,
+                            std::int64_t cost_bound) -> std::optional<Circuit> {
     MFlowOptions mflow = options_.mflow;
     mflow.time_budget_seconds =
         clamp_budget(mflow.time_budget_seconds, deadline);
     const MFlowReduction reduction =
         mflow_reduce(target, fits_thresholds, mflow);
     if (reduction.timed_out) return std::nullopt;
-    Circuit circuit = exact_tail(reduction.reduced, used_exact,
-                                 &result.budget_exhausted, deadline);
     Circuit forward(n);
     for (const Gate& g : reduction.forward_gates) forward.append(g);
-    circuit.append(forward.adjoint());
+    const Circuit backward = forward.adjoint();
+    if (cost_bound != kNoCostBound) {
+      cost_bound = std::max<std::int64_t>(
+          0, cost_bound - count_cnots_after_lowering(backward, elide));
+    }
+    std::optional<Circuit> circuit =
+        exact_tail(reduction.reduced, used_exact, &result.budget_exhausted,
+                   deadline, cost_bound);
+    if (circuit.has_value()) circuit->append(backward);
     return circuit;
   };
 
   if (result.sparse_path) {
     // Sparse: cardinality reduction until the compressed state fits.
-    auto circuit = sparse_prepare(&result.used_exact_tail);
+    auto circuit = sparse_prepare(&result.used_exact_tail, kNoCostBound);
     if (!circuit.has_value()) {
       result.timed_out = true;
       return result;
@@ -286,8 +311,6 @@ WorkflowResult Solver::prepare(const QuantumState& target) const {
     return result;
   }
   const QuantumState marginal = nflow_marginal(target, t);
-  LoweringOptions elide;
-  elide.elide_zero_rotations = true;
   bool used_exact = false;
   Circuit tail = nflow_prepare(marginal);
   // Count-heavy marginals are generic positive states where the stages
@@ -296,12 +319,14 @@ WorkflowResult Solver::prepare(const QuantumState& target) const {
   const auto marginal_slots = SlotState::from_state(marginal);
   if (marginal_slots.has_value() &&
       marginal_slots->total() <= options_.dense_tail_total_cap) {
+    const std::int64_t stages_cost = selection_cost(tail, elide);
     bool exact_used = false;
-    Circuit exact_marginal =
-        exact_tail(marginal, &exact_used, &result.budget_exhausted, deadline);
-    if (exact_used && selection_cost(exact_marginal, elide) <
-                          selection_cost(tail, elide)) {
-      tail = std::move(exact_marginal);
+    std::optional<Circuit> exact_marginal =
+        exact_tail(marginal, &exact_used, &result.budget_exhausted, deadline,
+                   bound_by(stages_cost));
+    if (exact_marginal.has_value() && exact_used &&
+        selection_cost(*exact_marginal, elide) < stages_cost) {
+      tail = std::move(*exact_marginal);
       used_exact = true;
     }
   }
@@ -313,10 +338,10 @@ WorkflowResult Solver::prepare(const QuantumState& target) const {
   // Borderline densities: the sparse machinery sometimes wins outright
   // (e.g. symmetric states like Dicke whose n*m is just above 2^n).
   if (target.cardinality() <= options_.dual_path_max_cardinality) {
+    const std::int64_t dense_cost = selection_cost(circuit, elide);
     bool sparse_exact = false;
-    const auto alt = sparse_prepare(&sparse_exact);
-    if (alt.has_value() && selection_cost(*alt, elide) <
-                               selection_cost(circuit, elide)) {
+    const auto alt = sparse_prepare(&sparse_exact, bound_by(dense_cost));
+    if (alt.has_value() && selection_cost(*alt, elide) < dense_cost) {
       circuit = *alt;
       result.used_exact_tail = sparse_exact;
     }

@@ -4,7 +4,9 @@
 // synthesis thresholds (n_eff <= 4 active qubits and cardinality <= 16 by
 // default), then finish with the exact kernel.
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "arch/coupling.hpp"
@@ -120,8 +122,10 @@ struct WorkflowResult {
   /// True if some exact-tail kernel search this workflow ran stopped
   /// early on its node or wall-clock budget
   /// (SearchStats::budget_exhausted): the returned circuit is still
-  /// valid, but a larger budget could improve it. Distinct from
-  /// `timed_out`, which means the workflow produced no circuit at all.
+  /// valid, but a larger budget could improve it. An attempt bounded by
+  /// its competitor's cost that proves it cannot win is complete, not
+  /// budget-exhausted. Distinct from `timed_out`, which means the
+  /// workflow produced no circuit at all.
   bool budget_exhausted = false;
   /// The preparation. With WorkflowOptions::coupling set, the register is
   /// the device register (target qubits first, spare device qubits are
@@ -165,10 +169,16 @@ class Solver {
   /// Deadline-aware body of prepare_via_exact_tail: the enclosing
   /// workflow deadline's remaining time bounds every kernel search run
   /// here; the search-free cardinality-reduction fallback is never
-  /// budgeted, so a circuit is always produced. A budget-truncated
-  /// kernel search sets *budget_exhausted (OR semantics across calls).
-  Circuit exact_tail(const QuantumState& reduced, bool* used_exact,
-                     bool* budget_exhausted, const Deadline& deadline) const;
+  /// budgeted, so without a cost bound a circuit is always produced. A
+  /// budget-truncated kernel search sets *budget_exhausted (OR semantics
+  /// across calls). With a cost bound (the competitor's selection cost)
+  /// the searches look only for a cheaper tail, and nullopt means they
+  /// found none; the fallback is then not built, since the caller would
+  /// discard it.
+  std::optional<Circuit> exact_tail(const QuantumState& reduced,
+                                    bool* used_exact, bool* budget_exhausted,
+                                    const Deadline& deadline,
+                                    std::int64_t cost_bound) const;
 
   WorkflowOptions options_;
 };

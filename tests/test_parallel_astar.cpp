@@ -126,7 +126,9 @@ TEST(ParallelAStar, WallDeadlineNeverCertifiesATruncatedExpansion) {
   // A deadline that cuts an expansion short loses successors, so the
   // search must end aborted rather than let an idle shard certify an
   // incumbent found elsewhere. Every outcome is therefore either a
-  // certified optimum or a budget abort, wherever the deadline falls.
+  // certified optimum or a budget abort, wherever the deadline falls, and
+  // an abort returns no circuit at any shard count (an incumbent's arc
+  // chain may cross nodes that other shards have since rebound).
   const QuantumState target = make_dicke(4, 2);
   for (const int threads : {1, 2, 8}) {
     for (double seconds = 1e-5; seconds < 3e-2; seconds *= 1.6) {
@@ -138,6 +140,7 @@ TEST(ParallelAStar, WallDeadlineNeverCertifiesATruncatedExpansion) {
       const std::string ctx = "threads=" + std::to_string(threads) +
                               " seconds=" + std::to_string(seconds);
       EXPECT_NE(res.stats.completed, res.stats.budget_exhausted) << ctx;
+      EXPECT_EQ(res.found, res.stats.completed) << ctx;
       EXPECT_EQ(res.optimal, res.stats.completed) << ctx;
       if (res.stats.completed) EXPECT_EQ(res.cnot_cost, 6) << ctx;
       if (res.found) verify_preparation_or_throw(res.circuit, target);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/routing.hpp"
@@ -430,6 +432,67 @@ TEST(Workflow, SharedCacheModeServesRepeatsBitIdentically) {
   EXPECT_GE(warm_stats.exact_hits, cold_stats.exact_hits + 1);
   EXPECT_EQ(cold.circuit, warm.circuit);
   verify_preparation_or_throw(warm.circuit, target);
+}
+
+TEST(Workflow, DenseOutputsUnchangedByCostBound) {
+  // The dense path bounds its exact attempts by the competitor's cost, so
+  // a search stops once it cannot win. It may drop only circuits the
+  // selection would have discarded. Per request: the lowered CNOT count,
+  // used_exact_tail and budget_exhausted, frozen from the unbounded
+  // solver, on Table-V and Dicke states under perfbench's dense options
+  // (1000-node A*, width-1 beam, no wall budgets). The corpus holds both
+  // outcomes of the dense marginal attempt, dual-path attempts whose beam
+  // an A* proof skips, marginals above the A* candidate cap, and exact
+  // marginals that win by a single CNOT.
+  struct Frozen {
+    std::int64_t cnots;
+    bool used_exact_tail;
+    bool budget_exhausted;
+  };
+  std::vector<QuantumState> corpus;
+  Rng rng(2024);
+  for (int n = 5; n <= 8; ++n) {
+    for (int i = 0; i < 2; ++i) {
+      corpus.push_back(make_random_uniform(n, 1 << (n - 1), rng));
+    }
+  }
+  for (const auto& [n, k] : {std::pair{5, 2}, {5, 3}, {6, 2}, {6, 3}, {6, 4},
+                             {7, 2}, {7, 3}, {7, 4}, {7, 5}, {8, 3}, {8, 4}}) {
+    corpus.push_back(make_dicke(n, k));
+  }
+  // n = 5 states whose exact marginal beats the stages by one CNOT, which
+  // the strict bound must still let through.
+  Rng narrow_win(8);
+  for (const int m : {9, 10, 11}) {
+    corpus.push_back(make_random_uniform(5, m, narrow_win));
+  }
+  const std::vector<Frozen> frozen = {
+      {30, false, true},  {30, false, true},  {62, false, true},
+      {62, false, true},  {126, false, true}, {126, false, true},
+      {254, false, true}, {254, false, true}, {30, false, true},
+      {30, false, true},  {55, false, true},  {62, false, true},
+      {54, true, true},   {79, false, true},  {126, false, true},
+      {126, false, true}, {79, true, true},   {254, false, true},
+      {254, false, true}, {26, true, true},   {27, true, true},
+      {29, true, true}};
+  ASSERT_EQ(corpus.size(), frozen.size());
+
+  WorkflowOptions options;
+  options.exact.astar.time_budget_seconds = 0.0;
+  options.exact.beam.time_budget_seconds = 0.0;
+  options.exact.astar.node_budget = 1000;
+  options.exact.beam.beam_width = 1;
+  const Solver solver(options);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const std::string ctx = "request " + std::to_string(i);
+    const WorkflowResult res = solver.prepare(corpus[i]);
+    ASSERT_TRUE(res.found) << ctx;
+    EXPECT_FALSE(res.sparse_path) << ctx;
+    EXPECT_EQ(count_cnots_after_lowering(res.circuit), frozen[i].cnots) << ctx;
+    EXPECT_EQ(res.used_exact_tail, frozen[i].used_exact_tail) << ctx;
+    EXPECT_EQ(res.budget_exhausted, frozen[i].budget_exhausted) << ctx;
+    verify_preparation_or_throw(res.circuit, corpus[i]);
+  }
 }
 
 }  // namespace
