@@ -6,12 +6,16 @@
 // permuted/translated per-user variants) through a live SynthesisService
 // and reports throughput, speedup and cache hit rates — section (a) on an
 // all-to-all register, section (b) on a line device where cached host
-// templates must come back remapped and routed.
+// templates must come back remapped and routed. Section (c) repeats two
+// classes whose work-bounded A* never certifies (Dicke(5,2) and
+// Dicke(6,3) on heavy_hex(3), 20k nodes, no wall budgets): the cold batch
+// searches and records each exhaustion, and the warm repeats replay the
+// records (negative hits) and run only the beam.
 //
 // JSON rows (qsp::bench::json_row): one per phase per section with
 // requests, seconds, requests_per_second, hit_rate, plus a summary row
-// with warm_over_cold. QSP_BENCH_SMOKE=1 shrinks the sweep for CI;
-// QSP_BENCH_FULL=1 widens it.
+// with warm_over_cold; section (c) adds ms_per_request and negative_hits.
+// QSP_BENCH_SMOKE=1 shrinks the sweep for CI; QSP_BENCH_FULL=1 widens it.
 
 #include <algorithm>
 #include <iostream>
@@ -103,9 +107,11 @@ int run_section(const std::string& name,
   WorkflowOptions workflow;
   workflow.coupling = device;
   workflow.opt_level = bench::bench_opt_level();
-  // Generous kernel budgets: only certified-optimal searches populate
-  // the cache, so a budget-exhausted beam fallback would re-search on
-  // every repeat and understate the warm phase.
+  // Generous kernel budgets: certified searches are served from the cache
+  // as templates, but an attempt that runs under a wall budget is never
+  // remembered when it exhausts (section (c) covers the work-bounded
+  // ones), so a budget-exhausted beam fallback would re-search on every
+  // repeat and understate the warm phase.
   workflow.exact.astar.time_budget_seconds = 120.0;
   workflow.exact.astar.node_budget = 20'000'000;
 
@@ -211,6 +217,104 @@ int run_section(const std::string& name,
   return 0;
 }
 
+int run_exhausted_section() {
+  const std::string name = "heavy_hex3_exhausted";
+  const auto device =
+      std::make_shared<const CouplingGraph>(CouplingGraph::heavy_hex(3));
+  WorkflowOptions workflow;
+  workflow.coupling = device;
+  workflow.opt_level = bench::bench_opt_level();
+  workflow.time_budget_seconds = 0.0;
+  workflow.exact.time_budget_seconds = 0.0;
+  workflow.exact.astar.time_budget_seconds = 0.0;
+  workflow.exact.beam.time_budget_seconds = 0.0;
+  workflow.exact.astar.node_budget = 20'000;
+  workflow.exact.beam.beam_width = 1;
+
+  SynthesisServiceOptions service_options;
+  service_options.num_workers = std::max(bench::bench_threads(), 1);
+  SynthesisService service(service_options);
+
+  const std::vector<QuantumState> bases = {make_dicke(5, 2), make_dicke(6, 3)};
+  const int rounds = bench::smoke_mode() ? 2 : (bench::full_mode() ? 16 : 6);
+  std::vector<QuantumState> warm_states;
+  for (int round = 0; round < rounds; ++round) {
+    warm_states.insert(warm_states.end(), bases.begin(), bases.end());
+  }
+
+  struct Phase {
+    double seconds = 0.0;
+    std::size_t requests = 0;
+    std::uint64_t negative_hits = 0;
+    std::vector<Circuit> circuits;
+  };
+  const auto run_phase = [&](const std::vector<QuantumState>& states,
+                             Phase& phase) -> int {
+    std::vector<ServiceRequest> batch;
+    for (const QuantumState& state : states) {
+      batch.push_back(ServiceRequest{state, workflow});
+    }
+    const std::uint64_t before = service.cache_stats().negative_hits;
+    const Timer timer;
+    const std::vector<ServiceResponse> responses =
+        service.run_batch(std::move(batch));
+    phase.seconds = timer.seconds();
+    phase.requests = states.size();
+    phase.negative_hits = service.cache_stats().negative_hits - before;
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      const Circuit& circuit = responses[i].result.circuit;
+      if (!responses[i].result.found ||
+          !verify_preparation(circuit, states[i]).ok ||
+          !respects_coupling(circuit, *device)) {
+        std::cerr << "VERIFICATION FAILED in " << name << " on request " << i
+                  << "\n";
+        return 1;
+      }
+      phase.circuits.push_back(circuit);
+    }
+    return 0;
+  };
+
+  Phase cold;
+  if (run_phase(bases, cold) != 0) return 1;
+  Phase warm;
+  if (run_phase(warm_states, warm) != 0) return 1;
+  // A replayed record must answer exactly as the search it stands for.
+  for (std::size_t i = 0; i < warm.circuits.size(); ++i) {
+    if (warm.circuits[i] != cold.circuits[i % bases.size()]) {
+      std::cerr << "WARM OUTPUT DIFFERS in " << name << " on request " << i
+                << "\n";
+      return 1;
+    }
+  }
+
+  const auto ms_per_request = [](const Phase& phase) {
+    return 1e3 * phase.seconds / static_cast<double>(phase.requests);
+  };
+  TextTable table(
+      {"phase", "requests", "seconds", "ms/request", "negative hits"});
+  for (const auto& [phase_name, phase] :
+       {std::pair<const char*, const Phase&>{"cold", cold}, {"warm", warm}}) {
+    table.add_row(
+        {phase_name,
+         TextTable::fmt(static_cast<std::int64_t>(phase.requests)),
+         TextTable::fmt(phase.seconds, 3),
+         TextTable::fmt(ms_per_request(phase), 2),
+         TextTable::fmt(static_cast<std::int64_t>(phase.negative_hits))});
+    bench::json_row(
+        "service_throughput",
+        {{"instance", name + "/" + phase_name},
+         {"phase", phase_name},
+         {"requests", static_cast<std::int64_t>(phase.requests)},
+         {"seconds", phase.seconds},
+         {"ms_per_request", ms_per_request(phase)},
+         {"negative_hits", static_cast<std::int64_t>(phase.negative_hits)},
+         {"threads", service_options.num_workers}});
+  }
+  std::cout << "\n[" << name << "]\n" << table.render();
+  return 0;
+}
+
 }  // namespace
 
 int main() {
@@ -226,10 +330,12 @@ int main() {
   const auto line5 =
       std::make_shared<const CouplingGraph>(CouplingGraph::line(5));
   if (run_section("line5", line5) != 0) return 1;
+  if (run_exhausted_section() != 0) return 1;
 
-  std::cout << "\nWarm batches skip the exact kernel entirely; the hit\n"
-               "rate is the fraction of tail searches answered from the\n"
-               "cache (rewired hits are same-class variants served via\n"
-               "the canonical witness).\n";
+  std::cout << "\nWarm batches of (a) and (b) skip the exact kernel\n"
+               "entirely; the hit rate is the fraction of tail searches\n"
+               "answered from the cache (rewired hits are same-class\n"
+               "variants served via the canonical witness). Warm batches\n"
+               "of (c) skip only the A* attempts that ran out of nodes.\n";
   return 0;
 }

@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/search_cache.hpp"
@@ -347,9 +349,24 @@ SynthesisResult AStarSynthesizer::synthesize(const SlotState& target,
   // search's own budget, so a timed-out wait can never double the
   // stage's wall clock.
   const Deadline overall(options_.time_budget_seconds);
+  // The attempt lets the cache remember a search that runs out of node
+  // budget and answer the repeats it covers without searching.
+  std::optional<SearchAttempt> attempt;
+  if (options_.cache != nullptr) {
+    attempt = SearchAttempt{
+        .heuristic = options_.heuristic,
+        .routed_heuristic = options_.routed_heuristic,
+        .canonical = options_.canonical,
+        .full_candidate_cap = options_.full_candidate_cap,
+        .node_budget = options_.node_budget,
+        .wall_budget = options_.time_budget_seconds > 0.0,
+        .num_shards = resolve_num_threads(options_.num_threads),
+        .cost_bound = cost_bound};
+  }
   ScopedCacheProbe probe(options_.cache.get(), target,
                          options_.coupling.get(), options_.max_controls,
-                         options_.time_budget_seconds);
+                         options_.time_budget_seconds,
+                         /*consult_only=*/false, std::move(attempt));
   if (probe.hit()) return probe.result(cost_bound);
 
   SearchOptions search_options = options_;

@@ -80,8 +80,10 @@ struct SearchOptions {
   /// When set, the search first consults the cache for the target's
   /// canonical class (possibly waiting on another thread's in-flight
   /// search of the same class) and publishes certified-optimal results
-  /// back into it. nullptr = no caching (the default; all one-shot paths
-  /// are unchanged).
+  /// back into it; a one-shard search without a wall budget that runs out
+  /// of node budget is remembered and replayed to the repeats it covers.
+  /// nullptr = no caching (the default; all one-shot paths are
+  /// unchanged).
   std::shared_ptr<SearchCache> cache;
 };
 

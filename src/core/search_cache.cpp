@@ -1,6 +1,7 @@
 #include "core/search_cache.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "core/search_core.hpp"
 
@@ -30,11 +31,13 @@ ScopedCacheProbe::ScopedCacheProbe(SearchCache* cache,
                                    const CouplingGraph* coupling,
                                    int max_controls,
                                    double max_wait_seconds,
-                                   bool consult_only)
+                                   bool consult_only,
+                                   std::optional<SearchAttempt> attempt)
     : cache_(cache), target_(&target) {
   if (cache_ == nullptr) return;
   fingerprint_ =
       make_cache_fingerprint(target.num_qubits(), coupling, max_controls);
+  fingerprint_.attempt = std::move(attempt);
   witness_ = canonical_witness(target, fingerprint_.level);
   lookup_ = cache_->begin(target, witness_, fingerprint_, max_wait_seconds,
                           consult_only);

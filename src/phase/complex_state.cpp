@@ -35,10 +35,20 @@ ComplexState::ComplexState(int num_qubits, std::vector<ComplexTerm> terms)
   if (terms_.empty()) {
     throw std::invalid_argument("ComplexState: empty support");
   }
-  double norm2 = 0.0;
-  for (const ComplexTerm& t : terms_) norm2 += std::norm(t.amplitude);
-  const double inv = 1.0 / std::sqrt(norm2);
-  for (ComplexTerm& t : terms_) t.amplitude *= inv;
+  const auto normalize = [this] {
+    double norm2 = 0.0;
+    for (const ComplexTerm& t : terms_) norm2 += std::norm(t.amplitude);
+    const double inv = 1.0 / std::sqrt(norm2);
+    for (ComplexTerm& t : terms_) t.amplitude *= inv;
+  };
+  normalize();
+  // As in QuantumState: a term that falls to the epsilon once scaled goes,
+  // and only then is the state renormalized.
+  if (std::erase_if(terms_, [](const ComplexTerm& t) {
+        return std::abs(t.amplitude) <= kAmplitudeEpsilon;
+      }) != 0) {
+    normalize();
+  }
 }
 
 ComplexState::ComplexState(const QuantumState& real)

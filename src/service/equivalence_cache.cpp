@@ -99,7 +99,32 @@ Circuit rewire_template(const Circuit& circuit,
   return out;
 }
 
+/// True when a one-shard A* without a wall deadline ran out of its node
+/// budget: the attempt a negative record remembers. Its trajectory is then
+/// a fixed function of the representative and the attempt's knobs.
+bool remembers_exhaustion(const SearchAttempt& attempt,
+                          const SynthesisResult& result) {
+  return !result.found && result.stats.budget_exhausted &&
+         attempt.num_shards == 1 && !attempt.wall_budget &&
+         attempt.node_budget > 0 &&
+         result.stats.nodes_generated >= attempt.node_budget;
+}
+
 }  // namespace
+
+bool EquivalenceCache::Entry::covers(
+    const SlotState& target,
+    const std::optional<SearchAttempt>& probe) const {
+  // The recorded search saw min f below its bound B at every pop check (a
+  // frontier at or above B certifies on the spot), so any bound >= B pops
+  // the same sequence, and a node budget <= n trips at or before the
+  // recorded abort. See SearchAttempt and docs/ARCHITECTURE.md.
+  return circuit == nullptr && probe.has_value() &&
+         target == representative && probe->num_shards == 1 &&
+         probe->same_trajectory(attempt) && probe->node_budget > 0 &&
+         probe->node_budget <= nodes_generated &&
+         probe->cost_bound >= attempt.cost_bound;
+}
 
 EquivalenceCache::EquivalenceCache(EquivalenceCacheOptions options)
     : options_(options) {
@@ -121,6 +146,29 @@ EquivalenceCache::EquivalenceCache(EquivalenceCacheOptions options)
 EquivalenceCache::Shard& EquivalenceCache::shard_for(const std::string& key) {
   const std::size_t h = std::hash<std::string>{}(key);
   return *shards_[h % shards_.size()];
+}
+
+void EquivalenceCache::store(Shard& shard, const std::string& key,
+                             Entry entry) {
+  const auto [it, inserted] = shard.map.try_emplace(key);
+  if (inserted) {
+    entries_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Only the class's owner stores, and begin() makes an owner only when
+    // no positive entry is present; the owner's in-flight marker keeps any
+    // second owner out until now. So what is replaced is a negative
+    // record, never a certified template.
+    QSP_ASSERT(it->second.circuit == nullptr);
+    shard.lru.erase(it->second.lru);
+    shard.bytes -= it->second.bytes;
+    bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
+  }
+  shard.lru.push_front(key);
+  entry.lru = shard.lru.begin();
+  shard.bytes += entry.bytes;
+  bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
+  it->second = std::move(entry);
+  evict_over_caps(shard);
 }
 
 void EquivalenceCache::evict_over_caps(Shard& shard) {
@@ -160,14 +208,20 @@ SearchCache::Lookup EquivalenceCache::begin(const SlotState& target,
     std::shared_ptr<const CanonicalWitness> hit_witness;
     std::int64_t hit_cost = 0;
     bool exact = false;
+    bool negative = false;
     {
       const MutexLock lock(shard.m);
       const auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
+      // A negative record answers only the A* probes it covers; every
+      // other probe treats it as absent.
+      if (it != shard.map.end() &&
+          (it->second.circuit != nullptr ||
+           (!consult_only && it->second.covers(target, fp.attempt)))) {
         // Grab the immutable template; the circuit (and any rewiring) is
         // built after the lock is released.
         Entry& entry = it->second;
         exact = target == entry.representative;
+        negative = entry.circuit == nullptr;
         shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru);
         hit_circuit = entry.circuit;
         hit_witness = entry.witness;
@@ -197,6 +251,13 @@ SearchCache::Lookup EquivalenceCache::begin(const SlotState& target,
       }
     }
 
+    if (negative) {
+      // What the covered search would return: no circuit, no certificate.
+      negative_hits_.fetch_add(1, std::memory_order_relaxed);
+      SynthesisResult exhausted;
+      exhausted.stats.budget_exhausted = true;
+      return Lookup{Claim::kHit, std::move(exhausted)};
+    }
     if (hit_circuit != nullptr) {
       Lookup lookup;
       lookup.claim = Claim::kHit;
@@ -255,10 +316,10 @@ void EquivalenceCache::end(const SlotState& target,
       flight = flight_it->second;
       shard.inflight.erase(flight_it);
     }
-    // Only certified optima enter the cache: the optimal CNOT cost of a
-    // class is budget- and heuristic-independent, which is what makes a
-    // future hit sound for any requester sharing the fingerprint.
     if (result != nullptr && result->found && result->optimal) {
+      // A certified optimum: the optimal CNOT cost of a class is budget-
+      // and heuristic-independent, which is what makes a future hit sound
+      // for any requester sharing the fingerprint.
       Entry entry;
       entry.representative = target;
       entry.witness = std::make_shared<const CanonicalWitness>(witness);
@@ -267,18 +328,18 @@ void EquivalenceCache::end(const SlotState& target,
       entry.bytes = key.size() + sizeof(Entry) +
                     target.entries().size() * sizeof(SlotEntry) +
                     witness_bytes(witness) + circuit_bytes(result->circuit);
-      shard.lru.push_front(key);
-      entry.lru = shard.lru.begin();
-      shard.bytes += entry.bytes;
-      bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
-      // Only the class's owner publishes, and begin() makes an owner only
-      // when the class is absent: every present class is served as a hit.
-      // The owner's in-flight marker keeps any second owner out until now.
-      const bool inserted = shard.map.emplace(key, std::move(entry)).second;
-      QSP_ASSERT(inserted);
-      entries_.fetch_add(1, std::memory_order_relaxed);
+      store(shard, key, std::move(entry));
       insertions_.fetch_add(1, std::memory_order_relaxed);
-      evict_over_caps(shard);
+    } else if (result != nullptr && fp.attempt.has_value() &&
+               remembers_exhaustion(*fp.attempt, *result)) {
+      // A fact about this search only, replayed to the probes it covers.
+      Entry entry;
+      entry.representative = target;
+      entry.attempt = *fp.attempt;
+      entry.nodes_generated = result->stats.nodes_generated;
+      entry.bytes = key.size() + sizeof(Entry) +
+                    target.entries().size() * sizeof(SlotEntry);
+      store(shard, key, std::move(entry));
     }
   }
   if (flight != nullptr) {
@@ -293,7 +354,8 @@ EquivalenceCacheStats EquivalenceCache::stats() const {
   s.lookups = lookups_.load(std::memory_order_relaxed);
   s.exact_hits = exact_hits_.load(std::memory_order_relaxed);
   s.rewired_hits = rewired_hits_.load(std::memory_order_relaxed);
-  s.hits = s.exact_hits + s.rewired_hits;
+  s.negative_hits = negative_hits_.load(std::memory_order_relaxed);
+  s.hits = s.exact_hits + s.rewired_hits + s.negative_hits;
   s.misses = misses_.load(std::memory_order_relaxed);
   s.insertions = insertions_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/assert.hpp"
-
 namespace qsp {
 namespace {
 
@@ -107,6 +105,16 @@ void QuantumState::normalize_and_check() {
   }
   const double inv = 1.0 / std::sqrt(norm2);
   for (Term& t : terms_) t.amplitude *= inv;
+  // A term that passed the filter above can fall to the epsilon once
+  // scaled, and every consumer treats such a term as zero. Renormalizing
+  // only when one goes keeps every other input's bits. The largest term
+  // is at least 1/sqrt(m), so the support never empties.
+  if (std::erase_if(terms_, [](const Term& t) {
+        return std::abs(t.amplitude) <= kAmplitudeEpsilon;
+      }) != 0) {
+    const double reinv = 1.0 / std::sqrt(sum_of_squares());
+    for (Term& t : terms_) t.amplitude *= reinv;
+  }
 }
 
 double QuantumState::amplitude(BasisIndex x) const {
@@ -160,9 +168,15 @@ bool QuantumState::approx_equal(const QuantumState& other, double tol) const {
   return fidelity(other) >= 1.0 - tol;
 }
 
+void QuantumState::check_qubit(int qubit) const {
+  if (qubit < 0 || qubit >= num_qubits_) {
+    throw std::out_of_range("QuantumState: qubit outside the register");
+  }
+}
+
 std::vector<BasisIndex> QuantumState::cofactor_indices(int qubit,
                                                        int value) const {
-  QSP_ASSERT(qubit >= 0 && qubit < num_qubits_);
+  check_qubit(qubit);
   std::vector<BasisIndex> out;
   for (const Term& t : terms_) {
     if (get_bit(t.index, qubit) == value) {
@@ -173,7 +187,7 @@ std::vector<BasisIndex> QuantumState::cofactor_indices(int qubit,
 }
 
 bool QuantumState::qubit_separable(int qubit, double tol) const {
-  QSP_ASSERT(qubit >= 0 && qubit < num_qubits_);
+  check_qubit(qubit);
   // Collect (rest-index, amplitude) for each branch of the qubit.
   std::vector<std::pair<BasisIndex, double>> zero, one;
   for (const Term& t : terms_) {

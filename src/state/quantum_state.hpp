@@ -35,7 +35,8 @@ class QuantumState {
   explicit QuantumState(int num_qubits);
 
   /// Build from terms; normalizes, merges duplicate indices (amplitudes add)
-  /// and drops zero terms. Throws std::invalid_argument on empty support,
+  /// and drops zero terms: every kept amplitude exceeds kAmplitudeEpsilon
+  /// after normalization. Throws std::invalid_argument on empty support,
   /// out-of-range indices or a NaN/infinite amplitude.
   QuantumState(int num_qubits, std::vector<Term> terms);
 
@@ -71,10 +72,12 @@ class QuantumState {
 
   /// The cofactor index set {x restricted to other qubits : x in S, x_q = v}.
   /// Returned indices have qubit q removed (higher bits shifted down).
+  /// Throws std::out_of_range for a qubit outside the register.
   std::vector<BasisIndex> cofactor_indices(int qubit, int value) const;
 
   /// True if qubit q is in a product state with the rest: either constant
   /// across the support or S = S0 x {0,1} with proportional amplitudes.
+  /// Throws std::out_of_range for a qubit outside the register.
   bool qubit_separable(int qubit, double tol = 1e-9) const;
 
   /// Dense amplitude vector of size 2^n (n <= 24 enforced).
@@ -90,6 +93,7 @@ class QuantumState {
   std::vector<Term> terms_;
 
   void normalize_and_check();
+  void check_qubit(int qubit) const;
 };
 
 }  // namespace qsp

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -260,7 +263,8 @@ TEST(EquivalenceCache, ConcurrentMixedBatchesStayBitIdentical) {
       static_cast<std::uint64_t>(kThreads) * kRounds * batch.size();
   EXPECT_EQ(stats.lookups, total);
   EXPECT_EQ(stats.hits + stats.misses, total);
-  EXPECT_EQ(stats.exact_hits + stats.rewired_hits, stats.hits);
+  EXPECT_EQ(stats.exact_hits + stats.rewired_hits + stats.negative_hits,
+            stats.hits);
   // One search per class in the best case; owners that lost a data race
   // to a concurrent independent publish stay bounded by the thread count.
   EXPECT_GE(stats.hits, total - static_cast<std::uint64_t>(kThreads) *
@@ -295,6 +299,260 @@ TEST(EquivalenceCache, InFlightDeduplicationRunsOneSearch) {
   // waiter ever re-searches: one miss, everyone else hits.
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads) - 1);
+}
+
+// --- Negative records: A* attempts that ran out of node budget ------------
+
+/// Same outcome as far as any caller can see: found, certificate, cost,
+/// circuit and the completion flags.
+void expect_same_result(const SynthesisResult& got,
+                        const SynthesisResult& want, const std::string& ctx) {
+  EXPECT_EQ(got.found, want.found) << ctx;
+  EXPECT_EQ(got.optimal, want.optimal) << ctx;
+  EXPECT_EQ(got.cnot_cost, want.cnot_cost) << ctx;
+  EXPECT_EQ(got.circuit, want.circuit) << ctx;
+  EXPECT_EQ(got.stats.completed, want.stats.completed) << ctx;
+  EXPECT_EQ(got.stats.budget_exhausted, want.stats.budget_exhausted) << ctx;
+}
+
+SearchOptions without_cache(SearchOptions options) {
+  options.cache = nullptr;
+  return options;
+}
+
+/// Dicke(4,2) certifies at cost 6 after ~1.2k arcs; 200 arcs cannot.
+struct Recorded {
+  SlotState target = *SlotState::from_state(make_dicke(4, 2));
+  SearchOptions options;
+  std::int64_t bound = 7;
+  std::uint64_t nodes_generated = 0;
+  std::shared_ptr<EquivalenceCache> cache;
+};
+
+/// A fresh cache holding the record of one exhausted attempt.
+Recorded record_exhaustion() {
+  Recorded r;
+  r.cache = std::make_shared<EquivalenceCache>();
+  r.options.node_budget = 200;
+  r.options.cache = r.cache;
+  const SynthesisResult cold =
+      AStarSynthesizer(r.options).synthesize(r.target, r.bound);
+  EXPECT_FALSE(cold.found);
+  EXPECT_TRUE(cold.stats.budget_exhausted);
+  EXPECT_GT(cold.stats.nodes_generated, r.options.node_budget);
+  r.nodes_generated = cold.stats.nodes_generated;
+  const EquivalenceCacheStats stats = r.cache->stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.insertions, 0u);
+  return r;
+}
+
+/// One probe after the record: a change to the recorded target, options
+/// or bound.
+struct Probe {
+  std::string name;
+  std::function<void(SlotState&, SearchOptions&, std::int64_t&)> change;
+};
+
+TEST(EquivalenceCache, ExhaustionRecordReplaysOnlyWhatItCovers) {
+  const std::uint64_t n = record_exhaustion().nodes_generated;
+  using S = SlotState;
+  using O = SearchOptions;
+  using B = std::int64_t;
+  const std::vector<Probe> replays = {
+      {"N' = N", [](S&, O&, B&) {}},
+      {"N' = n", [n](S&, O& o, B&) { o.node_budget = n; }},
+      {"wall budget", [](S&, O& o, B&) { o.time_budget_seconds = 60.0; }},
+      {"bound above B", [](S&, O&, B& b) { b += 1; }},
+      {"no bound", [](S&, O&, B& b) { b = kNoCostBound; }},
+  };
+  const std::vector<Probe> searches = {
+      {"N' = n + 1", [n](S&, O& o, B&) { o.node_budget = n + 1; }},
+      {"N' = 0", [](S&, O& o, B&) { o.node_budget = 0; }},
+      {"bound B - 1", [](S&, O&, B& b) { b -= 1; }},
+      {"2 shards", [](S&, O& o, B&) { o.num_threads = 2; }},
+      {"heuristic",
+       [](S&, O& o, B&) { o.heuristic = HeuristicMode::kPair; }},
+      {"candidate cap", [](S&, O& o, B&) { o.full_candidate_cap = 64; }},
+      {"routed heuristic",
+       [](S&, O& o, B&) { o.routed_heuristic = false; }},
+      {"canonical level",
+       [](S&, O& o, B&) { o.canonical = CanonicalLevel::kPU2Greedy; }},
+      {"X-translated member",
+       [](S& t, O&, B&) { t = t.with_translation(0b0101); }},
+  };
+  for (const bool replay : {true, false}) {
+    for (const Probe& p : replay ? replays : searches) {
+      // Each probe meets a fresh record, so one probe's publish cannot
+      // answer the next.
+      const Recorded r = record_exhaustion();
+      SlotState target = r.target;
+      SearchOptions options = r.options;
+      std::int64_t bound = r.bound;
+      p.change(target, options, bound);
+      const SynthesisResult want =
+          AStarSynthesizer(without_cache(options)).synthesize(target, bound);
+      const SynthesisResult got =
+          AStarSynthesizer(options).synthesize(target, bound);
+      expect_same_result(got, want, p.name);
+      const EquivalenceCacheStats stats = r.cache->stats();
+      EXPECT_EQ(stats.lookups, 2u) << p.name;
+      EXPECT_EQ(stats.negative_hits, replay ? 1u : 0u) << p.name;
+      EXPECT_EQ(stats.misses, replay ? 1u : 2u) << p.name;
+      EXPECT_EQ(stats.hits, stats.negative_hits) << p.name;
+      // A replay runs no search.
+      EXPECT_EQ(got.stats.nodes_generated == 0, replay) << p.name;
+    }
+  }
+}
+
+TEST(EquivalenceCache, WallBudgetedAttemptWritesNoRecord) {
+  auto cache = std::make_shared<EquivalenceCache>();
+  SearchOptions options;
+  options.node_budget = 200;
+  options.time_budget_seconds = 60.0;
+  options.cache = cache;
+  const SlotState target = *SlotState::from_state(make_dicke(4, 2));
+  for (int round = 0; round < 2; ++round) {
+    const SynthesisResult r = AStarSynthesizer(options).synthesize(target);
+    EXPECT_FALSE(r.found);
+    EXPECT_TRUE(r.stats.budget_exhausted);
+    EXPECT_GT(r.stats.nodes_generated, 0u);
+  }
+  const EquivalenceCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.negative_hits, 0u);
+}
+
+TEST(EquivalenceCache, CertifiedPublishReplacesExhaustionRecord) {
+  const Recorded r = record_exhaustion();
+  ASSERT_GT(r.cache->stats().bytes, 0u);
+  SearchOptions unlimited = r.options;
+  unlimited.node_budget = 0;
+  const SynthesisResult certified =
+      AStarSynthesizer(unlimited).synthesize(r.target);
+  ASSERT_TRUE(certified.optimal);
+
+  // The record is gone: one entry, accounted as the template alone.
+  auto fresh = std::make_shared<EquivalenceCache>();
+  SearchOptions fresh_options = unlimited;
+  fresh_options.cache = fresh;
+  AStarSynthesizer(fresh_options).synthesize(r.target);
+  EquivalenceCacheStats stats = r.cache->stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.bytes, fresh->stats().bytes);
+
+  // Every later probe gets the certified template, the exhausting budget
+  // included; the translated member is rewired, not searched, so no
+  // record can be written over the template.
+  const SynthesisResult again =
+      AStarSynthesizer(r.options).synthesize(r.target, r.bound);
+  EXPECT_TRUE(again.optimal);
+  EXPECT_EQ(again.circuit, certified.circuit);
+  const SlotState translated = r.target.with_translation(0b0101);
+  const SynthesisResult rewired =
+      AStarSynthesizer(r.options).synthesize(translated);
+  EXPECT_TRUE(rewired.optimal);
+  verify_preparation_or_throw(rewired.circuit, translated.to_state());
+  stats = r.cache->stats();
+  EXPECT_EQ(stats.exact_hits, 1u);
+  EXPECT_EQ(stats.rewired_hits, 1u);
+  EXPECT_EQ(stats.negative_hits, 0u);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(EquivalenceCache, ExhaustionRecordsShareTheLruAndCaps) {
+  EquivalenceCacheOptions cache_options;
+  cache_options.num_shards = 1;
+  cache_options.max_entries = 2;
+  auto cache = std::make_shared<EquivalenceCache>(cache_options);
+  SearchOptions options;
+  options.node_budget = 20;  // below one expansion of any of these
+  options.cache = cache;
+  const AStarSynthesizer synth(options);
+  Rng rng(41);
+  std::vector<SlotState> targets;
+  while (targets.size() < 3) {
+    const SlotState t = random_slot(rng, 4, 6);
+    if (!AStarSynthesizer(without_cache(options)).synthesize(t).stats
+             .budget_exhausted) {
+      continue;
+    }
+    if (std::find(targets.begin(), targets.end(), t) == targets.end()) {
+      targets.push_back(t);
+    }
+  }
+  const auto replayed = [&](const SlotState& t) {
+    const std::uint64_t before = cache->stats().negative_hits;
+    const SynthesisResult r = synth.synthesize(t);
+    EXPECT_FALSE(r.found);
+    EXPECT_TRUE(r.stats.budget_exhausted);
+    return cache->stats().negative_hits == before + 1;
+  };
+  EXPECT_FALSE(replayed(targets[0]));  // records 0
+  EXPECT_FALSE(replayed(targets[1]));  // records 1
+  EXPECT_TRUE(replayed(targets[0]));   // touches 0: 1 is now the LRU
+  EXPECT_FALSE(replayed(targets[2]));  // records 2, evicts 1
+  EquivalenceCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.insertions, 0u);
+  EXPECT_TRUE(replayed(targets[0]));
+  EXPECT_TRUE(replayed(targets[2]));
+  EXPECT_FALSE(replayed(targets[1]));  // searched again, evicts 0
+
+  // A byte cap below one record keeps nothing, and the bytes return to 0.
+  EquivalenceCacheOptions tiny_options;
+  tiny_options.num_shards = 1;
+  tiny_options.max_bytes = 1;
+  auto tiny = std::make_shared<EquivalenceCache>(tiny_options);
+  SearchOptions tiny_search = options;
+  tiny_search.cache = tiny;
+  for (const SlotState& t : targets) {
+    AStarSynthesizer(tiny_search).synthesize(t);
+  }
+  stats = tiny->stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.evictions, targets.size());
+}
+
+TEST(EquivalenceCache, InFlightExhaustionRunsOneSearch) {
+  // Concurrent identical requests whose search runs out of node budget:
+  // the owner searches and records, every other thread replays the
+  // record, whether it waited on the owner or arrived after it.
+  auto cache = std::make_shared<EquivalenceCache>();
+  SearchOptions options;
+  options.node_budget = 1000;
+  options.cache = cache;
+  const SlotState target = *SlotState::from_state(make_dicke(4, 2));
+  const SynthesisResult want =
+      AStarSynthesizer(without_cache(options)).synthesize(target);
+  ASSERT_TRUE(want.stats.budget_exhausted);
+  constexpr int kThreads = 6;
+  std::vector<SynthesisResult> got(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      got[static_cast<std::size_t>(t)] =
+          AStarSynthesizer(options).synthesize(target);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    expect_same_result(got[static_cast<std::size_t>(t)], want,
+                       "thread " + std::to_string(t));
+  }
+  const EquivalenceCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.lookups, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.negative_hits, static_cast<std::uint64_t>(kThreads) - 1);
+  EXPECT_EQ(stats.hits, stats.negative_hits);
 }
 
 }  // namespace

@@ -27,6 +27,19 @@ TEST(ComplexState, NormalizesAndMerges) {
   EXPECT_THROW(ComplexState(2, {}), std::invalid_argument);
   EXPECT_THROW(ComplexState(2, {ComplexTerm{9, {1, 0}}}),
                std::invalid_argument);
+  // A term that falls to the epsilon once normalized goes, and the rest
+  // is renormalized.
+  const ComplexState tiny(8, {ComplexTerm{0, {1e7, 0.0}},
+                              ComplexTerm{3, {0.0, 1e7}},
+                              ComplexTerm{200, {1e7, 0.0}},
+                              ComplexTerm{5, {1e-6, 0.0}}});
+  EXPECT_EQ(tiny.cardinality(), 3);
+  double norm2 = 0.0;
+  for (const ComplexTerm& t : tiny.terms()) {
+    EXPECT_GT(std::abs(t.amplitude), ComplexState::kAmplitudeEpsilon);
+    norm2 += std::norm(t.amplitude);
+  }
+  EXPECT_NEAR(norm2, 1.0, 1e-12);
 }
 
 TEST(ComplexState, MagnitudesAndPhases) {

@@ -60,6 +60,37 @@ TEST(QuantumState, InvalidInputsThrow) {
   }
 }
 
+TEST(QuantumState, NoTermFallsToTheEpsilonAfterNormalizing) {
+  // 1e-6 passes the zero filter but scales to about 5.8e-14 against three
+  // 1e7 terms; it must go, and the rest must be renormalized.
+  const std::vector<Term> terms = {
+      Term{0, 1e7}, Term{3, 1e7}, Term{200, 1e7}, Term{5, 1e-6}};
+  std::vector<double> dense(256, 0.0);
+  for (const Term& t : terms) dense[t.index] = t.amplitude;
+  for (const QuantumState& s :
+       {QuantumState(8, terms), QuantumState::from_dense(8, dense)}) {
+    EXPECT_EQ(s.cardinality(), 3);
+    double norm2 = 0.0;
+    for (const Term& t : s.terms()) {
+      EXPECT_GT(std::abs(t.amplitude), QuantumState::kAmplitudeEpsilon);
+      norm2 += t.amplitude * t.amplitude;
+    }
+    EXPECT_NEAR(norm2, 1.0, 1e-12);
+  }
+  // A state with nothing to drop keeps its bits: the plain normalization.
+  const QuantumState kept(2, {Term{0, 3.0}, Term{3, 4.0}});
+  EXPECT_EQ(kept.amplitude(0), 3.0 * (1.0 / std::sqrt(25.0)));
+  EXPECT_EQ(kept.amplitude(3), 4.0 * (1.0 / std::sqrt(25.0)));
+}
+
+TEST(QuantumState, QubitOutsideTheRegisterThrows) {
+  const QuantumState s(3, {Term{0, 1.0}, Term{5, 1.0}});
+  for (const int q : {-1, 3, 64}) {
+    EXPECT_THROW(s.cofactor_indices(q, 0), std::out_of_range) << q;
+    EXPECT_THROW(s.qubit_separable(q), std::out_of_range) << q;
+  }
+}
+
 TEST(QuantumState, DenseRoundTrip) {
   const QuantumState s(3, {Term{0, 1.0}, Term{3, -1.0}, Term{6, 2.0}});
   const auto dense = s.to_dense();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -253,6 +255,123 @@ TEST(SynthesisService, RequestExceptionsPropagateThroughFutures) {
   // The service stays healthy afterwards.
   const ServiceResponse ok = service.submit(request_for(make_ghz(3))).get();
   EXPECT_TRUE(ok.result.found);
+}
+
+TEST(SynthesisService, TinyTermStateDoesNotAbortTheService) {
+  // The request used to abort in m-flow and take every in-flight request
+  // with it; now it prepares next to an ordinary one.
+  const QuantumState tiny(
+      8, {Term{0, 1e7}, Term{3, 1e7}, Term{200, 1e7}, Term{5, 1e-6}});
+  WorkflowOptions workflow;
+  workflow.time_budget_seconds = 0.0;
+  workflow.exact.astar.time_budget_seconds = 0.0;
+  workflow.exact.beam.time_budget_seconds = 0.0;
+  workflow.exact.astar.node_budget = 1000;
+  workflow.exact.beam.beam_width = 1;
+  SynthesisServiceOptions options;
+  options.num_workers = 2;
+  SynthesisService service(options);
+  auto tiny_future = service.submit(request_for(tiny, workflow));
+  auto other_future = service.submit(request_for(make_w(4), workflow));
+  const ServiceResponse r = tiny_future.get();
+  ASSERT_TRUE(r.result.found);
+  verify_preparation_or_throw(r.result.circuit, tiny);
+  const ServiceResponse other = other_future.get();
+  ASSERT_TRUE(other.result.found);
+  verify_preparation_or_throw(other.result.circuit, make_w(4));
+}
+
+/// Delegates to an equivalence cache and tallies the A* probes (the
+/// beam's probes are consult-only) and the searches that ran.
+class AStarTally : public SearchCache {
+ public:
+  Lookup begin(const SlotState& target, const CanonicalWitness& witness,
+               const CacheFingerprint& fp, double max_wait_seconds,
+               bool consult_only) override {
+    if (!consult_only) ++probes;
+    return cache.begin(target, witness, fp, max_wait_seconds, consult_only);
+  }
+  void end(const SlotState& target, const CanonicalWitness& witness,
+           const CacheFingerprint& fp,
+           const SynthesisResult* result) override {
+    if (result != nullptr) {
+      exhausted += result->stats.budget_exhausted ? 1 : 0;
+      nodes_generated += result->stats.nodes_generated;
+    }
+    cache.end(target, witness, fp, result);
+  }
+
+  EquivalenceCache cache;
+  std::atomic<std::uint64_t> probes{0};
+  std::atomic<std::uint64_t> exhausted{0};
+  std::atomic<std::uint64_t> nodes_generated{0};
+};
+
+TEST(SynthesisService, ExhaustedAttemptsReplayBitIdentically) {
+  // Work-bounded requests whose A* runs out of node budget: a second pass
+  // through the same cache replays every such attempt from its record, so
+  // it generates no A* node, and each response equals a run without a
+  // cache gate for gate. (The dense path's attempts bounded by 0 complete
+  // without a node and are not remembered.)
+  const auto work_bounded = [](std::uint64_t nodes,
+                               std::shared_ptr<const CouplingGraph> device) {
+    WorkflowOptions o;
+    o.time_budget_seconds = 0.0;
+    o.exact.time_budget_seconds = 0.0;
+    o.exact.astar.time_budget_seconds = 0.0;
+    o.exact.beam.time_budget_seconds = 0.0;
+    o.exact.astar.node_budget = nodes;
+    o.exact.beam.beam_width = 1;
+    o.coupling = std::move(device);
+    return o;
+  };
+  const auto device =
+      std::make_shared<const CouplingGraph>(CouplingGraph::heavy_hex(3));
+  std::vector<ServiceRequest> corpus;
+  for (const QuantumState& dicke : {make_dicke(5, 2), make_dicke(6, 3)}) {
+    corpus.push_back(request_for(dicke, work_bounded(20'000, device)));
+  }
+  Rng rng(5);
+  for (int n = 5; n <= 7; ++n) {
+    corpus.push_back(request_for(make_random_uniform(n, 1 << (n - 1), rng),
+                                 work_bounded(1000, nullptr)));
+  }
+
+  std::vector<WorkflowResult> reference;
+  for (const ServiceRequest& request : corpus) {
+    reference.push_back(Solver(request.options).prepare(request.state));
+  }
+  auto tally = std::make_shared<AStarTally>();
+  std::vector<ServiceRequest> batch = corpus;
+  for (ServiceRequest& request : batch) request.options.cache = tally;
+  SynthesisServiceOptions options;
+  options.num_workers = 1;
+  SynthesisService service(options);
+
+  service.run_batch(batch);  // cold: searches and records
+  const EquivalenceCacheStats cold = tally->cache.stats();
+  const std::uint64_t cold_probes = tally->probes.load();
+  const std::uint64_t exhausted = tally->exhausted.load();
+  const std::uint64_t cold_nodes = tally->nodes_generated.load();
+  EXPECT_GE(exhausted, corpus.size());
+  EXPECT_EQ(cold.negative_hits, 0u);
+
+  const std::vector<ServiceResponse> warm = service.run_batch(batch);
+  const EquivalenceCacheStats stats = tally->cache.stats();
+  EXPECT_EQ(tally->probes.load() - cold_probes, cold_probes);
+  EXPECT_EQ(stats.negative_hits, exhausted);
+  EXPECT_EQ(tally->exhausted.load(), exhausted);
+  EXPECT_EQ(tally->nodes_generated.load(), cold_nodes);
+  EXPECT_EQ(stats.insertions, cold.insertions);
+  ASSERT_EQ(warm.size(), reference.size());
+  for (std::size_t i = 0; i < warm.size(); ++i) {
+    const WorkflowResult& got = warm[i].result;
+    ASSERT_TRUE(got.found) << i;
+    EXPECT_EQ(got.circuit, reference[i].circuit) << i;
+    EXPECT_EQ(got.used_exact_tail, reference[i].used_exact_tail) << i;
+    EXPECT_EQ(got.budget_exhausted, reference[i].budget_exhausted) << i;
+    verify_preparation_or_throw(got.circuit, corpus[i].state);
+  }
 }
 
 TEST(SynthesisService, PerRequestCacheOverrideWins) {

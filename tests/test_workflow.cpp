@@ -408,6 +408,22 @@ TEST(Workflow, NumThreadsReachesBeamFallback) {
   verify_preparation_or_throw(res.circuit, target);
 }
 
+TEST(Workflow, TinyTermStatePreparesAndVerifies) {
+  // A term that falls below the amplitude epsilon only once normalized
+  // used to reach m-flow and abort the process there.
+  const QuantumState target(
+      8, {Term{0, 1e7}, Term{3, 1e7}, Term{200, 1e7}, Term{5, 1e-6}});
+  WorkflowOptions options;
+  options.time_budget_seconds = 0.0;
+  options.exact.astar.time_budget_seconds = 0.0;
+  options.exact.beam.time_budget_seconds = 0.0;
+  options.exact.astar.node_budget = 1000;
+  options.exact.beam.beam_width = 1;
+  const WorkflowResult result = Solver(options).prepare(target);
+  ASSERT_TRUE(result.found);
+  verify_preparation_or_throw(result.circuit, target);
+}
+
 TEST(Workflow, SharedCacheModeServesRepeatsBitIdentically) {
   // Solver::cache: the second prepare() of the same target must serve the
   // exact tail from the equivalence cache and produce the identical
