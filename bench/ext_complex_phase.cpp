@@ -11,6 +11,7 @@
 #include "flow/solver.hpp"
 #include "phase/phase_oracle.hpp"
 #include "sim/verifier.hpp"
+#include "state/state_factory.hpp"
 #include "util/table.hpp"
 
 int main() {

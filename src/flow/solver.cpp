@@ -29,6 +29,13 @@ QuantumState normalize_global_sign(const QuantumState& state) {
   return QuantumState(state.num_qubits(), std::move(terms));
 }
 
+/// True when the amplitudes carry both signs, which no global -1 removes.
+bool has_mixed_signs(const QuantumState& state) {
+  const auto negative = [](const Term& t) { return t.amplitude < 0; };
+  return std::any_of(state.terms().begin(), state.terms().end(), negative) &&
+         !std::all_of(state.terms().begin(), state.terms().end(), negative);
+}
+
 }  // namespace
 
 Solver::Solver(WorkflowOptions options) : options_(std::move(options)) {
@@ -49,6 +56,9 @@ std::optional<Circuit> Solver::exact_tail(const QuantumState& reduced,
                                           const Deadline& deadline,
                                           std::int64_t cost_bound) const {
   if (used_exact != nullptr) *used_exact = false;
+  // No circuit costs less than 0 CNOTs, so under a bound of 0 nothing can
+  // win: skip the peel, the canonical key and the cache probe.
+  if (cost_bound <= 0) return std::nullopt;
   const QuantumState target = normalize_global_sign(reduced);
   const CouplingGraph* device = options_.coupling.get();
   // With a device the register is the device register: connector and
@@ -301,10 +311,14 @@ WorkflowResult Solver::prepare(const QuantumState& target) const {
   // exact_max_qubits..n-1; the exact kernel prepares the marginal when it
   // wins over the marginal's own multiplexor stages (the reductions give
   // the tail non-uniform counts, where the exact search is not always the
-  // cheaper realization).
-  const int t = std::min(options_.exact_max_qubits, n);
+  // cheaper realization). The marginal holds magnitudes and only the
+  // deepest stage reads signed amplitudes, so a target with mixed signs
+  // keeps at least one stage.
+  int t = std::min(options_.exact_max_qubits, n);
+  if (has_mixed_signs(target)) t = std::min(t, n - 1);
   if (t < 1) {
-    // Exact tail disabled: plain qubit reduction.
+    // No exact tail (disabled, or a signed 1-qubit target): plain qubit
+    // reduction.
     result.circuit = routed_onto_device(nflow_prepare(target));
     result.found = !deadline.expired();
     result.timed_out = !result.found;

@@ -174,7 +174,7 @@ class Solver {
   /// across calls). With a cost bound (the competitor's selection cost)
   /// the searches look only for a cheaper tail, and nullopt means they
   /// found none; the fallback is then not built, since the caller would
-  /// discard it.
+  /// discard it. A bound of 0 returns nullopt before any work.
   std::optional<Circuit> exact_tail(const QuantumState& reduced,
                                     bool* used_exact, bool* budget_exhausted,
                                     const Deadline& deadline,

@@ -11,7 +11,7 @@
 
 #include "circuit/circuit.hpp"
 #include "flow/solver.hpp"
-#include "phase/complex_state.hpp"
+#include "state/quantum_state.hpp"
 
 namespace qsp {
 

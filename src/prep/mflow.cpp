@@ -15,8 +15,6 @@
 namespace qsp {
 namespace {
 
-constexpr double kZeroAmplitude = 1e-12;
-
 /// Candidate pairs the kCheapest strategy evaluates per merge.
 constexpr std::size_t kCheapestCandidates = 16;
 
@@ -166,7 +164,7 @@ class Engine {
                    const std::vector<ControlLiteral>& controls) {
     const double a1 = amplitude_of(x1);
     const double a2 = amplitude_of(x2);
-    QSP_ASSERT(std::abs(a2) > kZeroAmplitude);
+    QSP_ASSERT(std::abs(a2) > QuantumState::kAmplitudeEpsilon);
     const bool x1_high = get_bit(x1, pivot) == 1;
     const double u0 = x1_high ? a2 : a1;
     const double u1 = x1_high ? a1 : a2;
@@ -202,10 +200,10 @@ class Engine {
     for (const auto& [rest, uv] : pairs) {
       const double w0 = co * uv.first - si * uv.second;
       const double w1 = si * uv.first + co * uv.second;
-      if (std::abs(w0) > kZeroAmplitude) {
+      if (std::abs(w0) > QuantumState::kAmplitudeEpsilon) {
         next.push_back(TermEntry{rest, w0});
       }
-      if (std::abs(w1) > kZeroAmplitude) {
+      if (std::abs(w1) > QuantumState::kAmplitudeEpsilon) {
         next.push_back(TermEntry{rest | pbit, w1});
       }
     }

@@ -31,17 +31,6 @@ void check_width(int num_qubits, int other_qubits, const char* method) {
   }
 }
 
-/// One term conj(a) * b of an inner product. The complex form is the
-/// textbook product of conj(a) and b, written out with the sign in the
-/// operand for the reason given at scale() below.
-double conj_times(double a, double b) { return a * b; }
-std::complex<double> conj_times(const std::complex<double>& a,
-                                const std::complex<double>& b) {
-  const double neg_ai = -a.imag();
-  return {a.real() * b.real() + a.imag() * b.imag(),
-          a.real() * b.imag() + neg_ai * b.real()};
-}
-
 // Every gate kind acts on the pairs (i, i + 2^target) over the indices i
 // with the target bit clear whose control bits (for RZZ and iSWAP, the
 // other wire's bit) match a pattern. Those indices form contiguous runs of
@@ -311,17 +300,7 @@ double BasicStatevector<Amp>::fidelity(const State& state) const {
 
 template <typename Amp>
 auto BasicStatevector<Amp>::to_state() const -> State {
-  if constexpr (kComplex) {
-    std::vector<ComplexTerm> terms;
-    for (std::size_t i = 0; i < amp_.size(); ++i) {
-      if (std::abs(amp_[i]) > ComplexState::kAmplitudeEpsilon) {
-        terms.push_back(ComplexTerm{static_cast<BasisIndex>(i), amp_[i]});
-      }
-    }
-    return ComplexState(num_qubits_, std::move(terms));
-  } else {
-    return QuantumState::from_dense(num_qubits_, amp_);
-  }
+  return State::from_dense(num_qubits_, amp_);
 }
 
 template class BasicStatevector<double>;

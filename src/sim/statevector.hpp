@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "phase/complex_state.hpp"
 #include "state/quantum_state.hpp"
 
 namespace qsp {
@@ -25,7 +24,7 @@ class BasicStatevector {
  public:
   static constexpr bool kComplex = !std::is_same_v<Amp, double>;
   /// The sparse state type with the same amplitudes.
-  using State = std::conditional_t<kComplex, ComplexState, QuantumState>;
+  using State = BasicState<Amp>;
 
   /// |0...0> on n qubits (n <= kMaxQubits; memory is sizeof(Amp) * 2^n
   /// bytes).

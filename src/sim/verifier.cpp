@@ -61,6 +61,15 @@ double overlap_on(const Circuit& a, const Circuit& b) {
   return std::abs(sa.inner_product(sb));
 }
 
+template <typename Amp>
+void throw_unless_verified(const Circuit& circuit,
+                           const BasicState<Amp>& target, double tolerance) {
+  const VerificationResult r = verify_preparation(circuit, target, tolerance);
+  if (!r.ok) {
+    throw std::runtime_error("verification failed: " + r.message);
+  }
+}
+
 }  // namespace
 
 VerificationResult verify_preparation(const Circuit& circuit,
@@ -70,7 +79,8 @@ VerificationResult verify_preparation(const Circuit& circuit,
     // The real instantiation rejects these gates; phase-oracle outputs
     // verify on the complex one, whose fidelity takes the conjugate
     // inner product.
-    return verify_preparation(circuit, ComplexState(target), tolerance);
+    return verify_preparation(circuit, ComplexState::from_real(target),
+                              tolerance);
   }
   return verify_on<Statevector>(circuit, target, tolerance);
 }
@@ -97,19 +107,13 @@ double preparation_overlap(const Circuit& a, const Circuit& b) {
 void verify_preparation_or_throw(const Circuit& circuit,
                                  const QuantumState& target,
                                  double tolerance) {
-  const VerificationResult r = verify_preparation(circuit, target, tolerance);
-  if (!r.ok) {
-    throw std::runtime_error("verification failed: " + r.message);
-  }
+  throw_unless_verified(circuit, target, tolerance);
 }
 
 void verify_preparation_or_throw(const Circuit& circuit,
                                  const ComplexState& target,
                                  double tolerance) {
-  const VerificationResult r = verify_preparation(circuit, target, tolerance);
-  if (!r.ok) {
-    throw std::runtime_error("verification failed: " + r.message);
-  }
+  throw_unless_verified(circuit, target, tolerance);
 }
 
 }  // namespace qsp

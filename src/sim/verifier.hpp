@@ -9,7 +9,6 @@
 #include <string>
 
 #include "circuit/circuit.hpp"
-#include "phase/complex_state.hpp"
 #include "state/quantum_state.hpp"
 
 namespace qsp {

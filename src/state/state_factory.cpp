@@ -66,4 +66,18 @@ QuantumState make_random_real(int num_qubits, int m, Rng& rng,
   return QuantumState(num_qubits, std::move(terms));
 }
 
+ComplexState make_random_complex(int num_qubits, int m, Rng& rng) {
+  const auto indices = rng.sample_distinct(std::uint64_t{1} << num_qubits,
+                                           static_cast<std::size_t>(m));
+  std::vector<ComplexTerm> terms;
+  terms.reserve(indices.size());
+  for (const auto x : indices) {
+    const double mag = rng.next_double(0.2, 1.0);
+    const double phase = rng.next_double(-3.14159265358979, 3.14159265358979);
+    terms.push_back(ComplexTerm{static_cast<BasisIndex>(x),
+                                std::polar(mag, phase)});
+  }
+  return ComplexState(num_qubits, std::move(terms));
+}
+
 }  // namespace qsp

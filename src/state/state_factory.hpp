@@ -1,6 +1,7 @@
 #pragma once
 // Factories for the benchmark families of the paper: GHZ, W, Dicke states
-// and the random uniform dense/sparse states of Table V.
+// and the random uniform dense/sparse states of Table V, plus the random
+// real and complex families beyond the paper's uniform benchmarks.
 
 #include "state/quantum_state.hpp"
 #include "util/rng.hpp"
@@ -29,5 +30,9 @@ QuantumState make_random_uniform(int num_qubits, int m, Rng& rng);
 /// amplitudes (generality beyond the paper's uniform benchmarks).
 QuantumState make_random_real(int num_qubits, int m, Rng& rng,
                               bool allow_negative = true);
+
+/// Random complex state with m distinct support indices, uniform random
+/// phases and magnitudes bounded away from zero.
+ComplexState make_random_complex(int num_qubits, int m, Rng& rng);
 
 }  // namespace qsp

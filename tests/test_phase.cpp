@@ -16,32 +16,6 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-TEST(ComplexState, NormalizesAndMerges) {
-  const ComplexState s(2, {ComplexTerm{0, {3.0, 0.0}},
-                           ComplexTerm{3, {0.0, 4.0}}});
-  EXPECT_NEAR(std::abs(s.amplitude(0)), 0.6, 1e-12);
-  EXPECT_NEAR(std::abs(s.amplitude(3)), 0.8, 1e-12);
-  const ComplexState merged(2, {ComplexTerm{1, {1.0, 0.0}},
-                                ComplexTerm{1, {0.0, 1.0}}});
-  EXPECT_EQ(merged.cardinality(), 1);
-  EXPECT_THROW(ComplexState(2, {}), std::invalid_argument);
-  EXPECT_THROW(ComplexState(2, {ComplexTerm{9, {1, 0}}}),
-               std::invalid_argument);
-  // A term that falls to the epsilon once normalized goes, and the rest
-  // is renormalized.
-  const ComplexState tiny(8, {ComplexTerm{0, {1e7, 0.0}},
-                              ComplexTerm{3, {0.0, 1e7}},
-                              ComplexTerm{200, {1e7, 0.0}},
-                              ComplexTerm{5, {1e-6, 0.0}}});
-  EXPECT_EQ(tiny.cardinality(), 3);
-  double norm2 = 0.0;
-  for (const ComplexTerm& t : tiny.terms()) {
-    EXPECT_GT(std::abs(t.amplitude), ComplexState::kAmplitudeEpsilon);
-    norm2 += std::norm(t.amplitude);
-  }
-  EXPECT_NEAR(norm2, 1.0, 1e-12);
-}
-
 TEST(ComplexState, MagnitudesAndPhases) {
   const ComplexState s(2, {ComplexTerm{0, std::polar(1.0, 0.5)},
                            ComplexTerm{2, std::polar(1.0, -1.2)}});
@@ -50,15 +24,6 @@ TEST(ComplexState, MagnitudesAndPhases) {
   const auto phases = s.phases();
   EXPECT_NEAR(phases[0], 0.5, 1e-12);
   EXPECT_NEAR(phases[1], -1.2, 1e-12);
-}
-
-TEST(ComplexState, IsRealDetectsGlobalPhase) {
-  const ComplexState rotated(1, {ComplexTerm{0, std::polar(0.6, 1.1)},
-                                 ComplexTerm{1, std::polar(0.8, 1.1)}});
-  EXPECT_TRUE(rotated.is_real());
-  const ComplexState mixed(1, {ComplexTerm{0, std::polar(0.6, 0.0)},
-                               ComplexTerm{1, std::polar(0.8, 0.7)}});
-  EXPECT_FALSE(mixed.is_real());
 }
 
 TEST(ComplexStatevector, MatchesRealSimulatorOnRealCircuits) {
@@ -174,7 +139,7 @@ TEST(PrepareComplex, RandomComplexStatesVerify) {
 TEST(PrepareComplex, RealStatesPayNoPhaseCost) {
   Rng rng(76);
   const QuantumState real = make_random_uniform(4, 4, rng);
-  const ComplexState lifted(real);
+  const ComplexState lifted = ComplexState::from_real(real);
   const ComplexPrepResult res = prepare_complex(lifted);
   ASSERT_TRUE(res.found);
   EXPECT_TRUE(verify_preparation(res.circuit, lifted).ok);

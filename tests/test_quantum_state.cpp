@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 namespace qsp {
@@ -23,10 +25,6 @@ TEST(QuantumState, NormalizesInput) {
   const QuantumState s(2, {Term{0, 3.0}, Term{3, 4.0}});
   EXPECT_NEAR(s.amplitude(0), 0.6, 1e-12);
   EXPECT_NEAR(s.amplitude(3), 0.8, 1e-12);
-  // Squares of 1e200 overflow a plain sum; the direction must survive.
-  const QuantumState huge(2, {Term{0, 3e200}, Term{3, 4e200}});
-  EXPECT_NEAR(huge.amplitude(0), 0.6, 1e-12);
-  EXPECT_NEAR(huge.amplitude(3), 0.8, 1e-12);
 }
 
 TEST(QuantumState, MergesDuplicateIndices) {
@@ -41,54 +39,164 @@ TEST(QuantumState, DropsCancellingTerms) {
   EXPECT_NEAR(std::abs(s.amplitude(2)), 1.0, 1e-12);
 }
 
-TEST(QuantumState, InvalidInputsThrow) {
-  EXPECT_THROW(QuantumState(0), std::invalid_argument);
-  EXPECT_THROW(QuantumState(25), std::invalid_argument);
-  EXPECT_THROW(QuantumState(2, {}), std::invalid_argument);
-  EXPECT_THROW(QuantumState(2, {Term{4, 1.0}}), std::invalid_argument);
-  EXPECT_THROW(QuantumState(2, {Term{1, 0.0}}), std::invalid_argument);
-  // Non-finite amplitudes: NaN passes every magnitude comparison and inf
-  // normalizes the rest to zero, so both must be rejected up front.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  for (const double bad : {nan, inf, -inf}) {
-    EXPECT_THROW(QuantumState(9, {Term{0, 1.0}, Term{5, bad}}),
-                 std::invalid_argument);
-    std::vector<double> dense(4, 0.5);
-    dense[2] = bad;
-    EXPECT_THROW(QuantumState::from_dense(2, dense), std::invalid_argument);
+// The input rule, one table for both amplitude types: a complex state is
+// a real state plus phases, so it accepts, rescales and rejects the same
+// inputs. Each check below is a template run once per type, under the
+// QuantumState and ComplexState suites.
+
+/// x along the imaginary axis when the type has one, else x itself.
+template <typename Amp>
+Amp imaginary(double x) {
+  if constexpr (std::is_same_v<Amp, double>) {
+    return x;
+  } else {
+    return {0.0, x};
   }
 }
 
-TEST(QuantumState, NoTermFallsToTheEpsilonAfterNormalizing) {
+/// Amplitudes with a non-finite part: NaN and +-inf, in either part of a
+/// complex amplitude.
+template <typename Amp>
+std::vector<Amp> non_finite_amplitudes() {
+  std::vector<Amp> out;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    out.push_back(Amp{bad});
+    if constexpr (!std::is_same_v<Amp, double>) out.push_back(Amp{0.5, bad});
+  }
+  return out;
+}
+
+template <typename Amp>
+void expect_invalid_inputs_throw() {
+  using State = BasicState<Amp>;
+  using T = BasicTerm<Amp>;
+  const Amp one{1.0};
+  for (const int width : {0, 25}) {
+    EXPECT_THROW(State{width}, std::invalid_argument) << width;
+    EXPECT_THROW(State(width, {T{0, one}}), std::invalid_argument) << width;
+  }
+  EXPECT_THROW(State(2, {}), std::invalid_argument);
+  // An index beyond the register.
+  EXPECT_THROW(State(2, {T{4, one}}), std::invalid_argument);
+  EXPECT_THROW(State(2, {T{1, Amp{0.0}}}), std::invalid_argument);
+  // Duplicates that cancel the whole support.
+  EXPECT_THROW(State(2, {T{1, one}, T{1, -one}}), std::invalid_argument);
+  // Every term passes the zero filter, but the sum of squares is at or
+  // below the epsilon.
+  EXPECT_THROW(State(2, {T{0, Amp{1e-7}}}), std::invalid_argument);
+  EXPECT_THROW(State(3, {T{0, Amp{5e-7}}, T{6, imaginary<Amp>(5e-7)}}),
+               std::invalid_argument);
+  // Non-finite amplitudes: NaN passes every magnitude comparison and inf
+  // normalizes the rest to zero, so both must be rejected up front.
+  for (const Amp bad : non_finite_amplitudes<Amp>()) {
+    EXPECT_THROW(State(9, {T{0, one}, T{5, bad}}), std::invalid_argument);
+    std::vector<Amp> dense(4, Amp{0.5});
+    dense[2] = bad;
+    EXPECT_THROW(State::from_dense(2, dense), std::invalid_argument);
+  }
+  // Finite duplicates whose sum overflows.
+  EXPECT_THROW(State(2, {T{1, Amp{1e308}}, T{1, Amp{1e308}}}),
+               std::invalid_argument);
+}
+
+TEST(QuantumState, InvalidInputsThrow) {
+  expect_invalid_inputs_throw<double>();
+}
+
+TEST(ComplexState, InvalidInputsThrow) {
+  expect_invalid_inputs_throw<std::complex<double>>();
+}
+
+template <typename Amp>
+void expect_overflowing_inputs_rescaled() {
+  // Squares of 1e200 overflow a plain sum of squares; the direction must
+  // survive, on the same support.
+  using State = BasicState<Amp>;
+  using T = BasicTerm<Amp>;
+  const double half = 1.0 / std::sqrt(2.0);
+  std::vector<Amp> dense(4, Amp{0.0});
+  dense[0] = Amp{1e200};
+  dense[3] = Amp{1e200};
+  for (const State& s : {State(2, {T{0, Amp{1e200}}, T{3, Amp{1e200}}}),
+                         State::from_dense(2, dense)}) {
+    ASSERT_EQ(s.cardinality(), 2);
+    EXPECT_EQ(s.terms()[0].index, 0u);
+    EXPECT_EQ(s.terms()[1].index, 3u);
+    EXPECT_NEAR(std::abs(s.amplitude(0)), half, 1e-15);
+    EXPECT_NEAR(std::abs(s.amplitude(3)), half, 1e-15);
+  }
+  const State phased(2, {T{0, Amp{3e200}}, T{3, imaginary<Amp>(4e200)}});
+  EXPECT_NEAR(std::abs(phased.amplitude(0) - Amp{0.6}), 0.0, 1e-12);
+  EXPECT_NEAR(std::abs(phased.amplitude(3) - imaginary<Amp>(0.8)), 0.0,
+              1e-12);
+}
+
+TEST(QuantumState, OverflowingInputsRescale) {
+  expect_overflowing_inputs_rescaled<double>();
+}
+
+TEST(ComplexState, OverflowingInputsRescale) {
+  expect_overflowing_inputs_rescaled<std::complex<double>>();
+  // Both parts at 1e308: std::abs stays finite, std::norm does not.
+  const ComplexState both(2, {ComplexTerm{0, {1e308, 1e308}},
+                              ComplexTerm{3, {1e308, 1e308}}});
+  ASSERT_EQ(both.cardinality(), 2);
+  for (const ComplexTerm& t : both.terms()) {
+    EXPECT_NEAR(t.amplitude.real(), 0.5, 1e-15);
+    EXPECT_NEAR(t.amplitude.imag(), 0.5, 1e-15);
+  }
+}
+
+template <typename Amp>
+void expect_no_term_at_the_epsilon() {
   // 1e-6 passes the zero filter but scales to about 5.8e-14 against three
   // 1e7 terms; it must go, and the rest must be renormalized.
-  const std::vector<Term> terms = {
-      Term{0, 1e7}, Term{3, 1e7}, Term{200, 1e7}, Term{5, 1e-6}};
-  std::vector<double> dense(256, 0.0);
-  for (const Term& t : terms) dense[t.index] = t.amplitude;
-  for (const QuantumState& s :
-       {QuantumState(8, terms), QuantumState::from_dense(8, dense)}) {
+  using State = BasicState<Amp>;
+  using T = BasicTerm<Amp>;
+  const std::vector<T> terms = {T{0, Amp{1e7}}, T{3, imaginary<Amp>(1e7)},
+                                T{200, Amp{1e7}}, T{5, Amp{1e-6}}};
+  std::vector<Amp> dense(256, Amp{0.0});
+  for (const T& t : terms) dense[t.index] = t.amplitude;
+  for (const State& s : {State(8, terms), State::from_dense(8, dense)}) {
     EXPECT_EQ(s.cardinality(), 3);
     double norm2 = 0.0;
-    for (const Term& t : s.terms()) {
-      EXPECT_GT(std::abs(t.amplitude), QuantumState::kAmplitudeEpsilon);
-      norm2 += t.amplitude * t.amplitude;
+    for (const T& t : s.terms()) {
+      EXPECT_GT(std::abs(t.amplitude), State::kAmplitudeEpsilon);
+      norm2 += std::norm(t.amplitude);
     }
     EXPECT_NEAR(norm2, 1.0, 1e-12);
   }
   // A state with nothing to drop keeps its bits: the plain normalization.
-  const QuantumState kept(2, {Term{0, 3.0}, Term{3, 4.0}});
-  EXPECT_EQ(kept.amplitude(0), 3.0 * (1.0 / std::sqrt(25.0)));
-  EXPECT_EQ(kept.amplitude(3), 4.0 * (1.0 / std::sqrt(25.0)));
+  const State kept(2, {T{0, Amp{3.0}}, T{3, imaginary<Amp>(4.0)}});
+  EXPECT_EQ(kept.amplitude(0), Amp{3.0 * (1.0 / std::sqrt(25.0))});
+  EXPECT_EQ(kept.amplitude(3), imaginary<Amp>(4.0 * (1.0 / std::sqrt(25.0))));
 }
 
-TEST(QuantumState, QubitOutsideTheRegisterThrows) {
-  const QuantumState s(3, {Term{0, 1.0}, Term{5, 1.0}});
-  for (const int q : {-1, 3, 64}) {
-    EXPECT_THROW(s.cofactor_indices(q, 0), std::out_of_range) << q;
-    EXPECT_THROW(s.qubit_separable(q), std::out_of_range) << q;
-  }
+TEST(QuantumState, NoTermFallsToTheEpsilonAfterNormalizing) {
+  expect_no_term_at_the_epsilon<double>();
+}
+
+TEST(ComplexState, NoTermFallsToTheEpsilonAfterNormalizing) {
+  expect_no_term_at_the_epsilon<std::complex<double>>();
+}
+
+TEST(ComplexState, NormalizesAndMerges) {
+  const ComplexState s(2, {ComplexTerm{0, {3.0, 0.0}},
+                           ComplexTerm{3, {0.0, 4.0}}});
+  EXPECT_NEAR(std::abs(s.amplitude(0)), 0.6, 1e-12);
+  EXPECT_NEAR(std::abs(s.amplitude(3)), 0.8, 1e-12);
+  // Duplicate indices add coherently, and cancelling ones leave the rest.
+  const ComplexState merged(2, {ComplexTerm{1, {1.0, 0.0}},
+                                ComplexTerm{1, {0.0, 1.0}}});
+  ASSERT_EQ(merged.cardinality(), 1);
+  EXPECT_NEAR(std::abs(merged.amplitude(1)), 1.0, 1e-12);
+  const ComplexState cancelled(2, {ComplexTerm{1, {1.0, 0.0}},
+                                   ComplexTerm{1, {-1.0, 0.0}},
+                                   ComplexTerm{2, {0.0, 1.0}}});
+  ASSERT_EQ(cancelled.cardinality(), 1);
+  EXPECT_NEAR(std::abs(cancelled.amplitude(2)), 1.0, 1e-12);
 }
 
 TEST(QuantumState, DenseRoundTrip) {
@@ -125,41 +233,6 @@ TEST(QuantumState, IsUniform) {
   EXPECT_FALSE(v.is_uniform());
   const QuantumState w(2, {Term{0, -1.0}, Term{1, -1.0}});
   EXPECT_FALSE(w.is_uniform());  // uniform means amplitudes +1/sqrt(m)
-}
-
-TEST(QuantumState, CofactorIndices) {
-  // psi_1 from paper Fig. 4: (|000> + |010> + |101> + |111>)/2. The
-  // cofactors of the middle qubit coincide (separable candidate), while
-  // the outer qubits' cofactors differ (entangled pair).
-  const QuantumState s(3, {Term{0b000, 1.0}, Term{0b010, 1.0},
-                           Term{0b101, 1.0}, Term{0b111, 1.0}});
-  const auto c0 = s.cofactor_indices(1, 0);
-  const auto c1 = s.cofactor_indices(1, 1);
-  EXPECT_EQ(c0, c1);
-  EXPECT_NE(s.cofactor_indices(0, 0), s.cofactor_indices(0, 1));
-  EXPECT_NE(s.cofactor_indices(2, 0), s.cofactor_indices(2, 1));
-}
-
-TEST(QuantumState, QubitSeparable) {
-  // Product state (|0>+|1>)/sqrt2 x |0>: qubit 1 separable, constant.
-  const QuantumState p(2, {Term{0, 1.0}, Term{1, 1.0}});
-  EXPECT_TRUE(p.qubit_separable(0));
-  EXPECT_TRUE(p.qubit_separable(1));
-  // Bell state: neither qubit separable.
-  const QuantumState bell(2, {Term{0, 1.0}, Term{3, 1.0}});
-  EXPECT_FALSE(bell.qubit_separable(0));
-  EXPECT_FALSE(bell.qubit_separable(1));
-  // Motivating example: all three qubits entangled.
-  const QuantumState s(3, {Term{0b000, 1.0}, Term{0b011, 1.0},
-                           Term{0b101, 1.0}, Term{0b110, 1.0}});
-  EXPECT_FALSE(s.qubit_separable(0));
-  EXPECT_FALSE(s.qubit_separable(1));
-  EXPECT_FALSE(s.qubit_separable(2));
-  // Proportional-amplitude separability with a ratio != 1.
-  const QuantumState r(2, {Term{0b00, 2.0}, Term{0b01, 2.0}, Term{0b10, 1.0},
-                           Term{0b11, 1.0}});
-  EXPECT_TRUE(r.qubit_separable(0));
-  EXPECT_TRUE(r.qubit_separable(1));
 }
 
 TEST(QuantumState, ToString) {

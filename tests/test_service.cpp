@@ -311,8 +311,8 @@ TEST(SynthesisService, ExhaustedAttemptsReplayBitIdentically) {
   // Work-bounded requests whose A* runs out of node budget: a second pass
   // through the same cache replays every such attempt from its record, so
   // it generates no A* node, and each response equals a run without a
-  // cache gate for gate. (The dense path's attempts bounded by 0 complete
-  // without a node and are not remembered.)
+  // cache gate for gate. (The dense path's attempts bounded by 0 end
+  // before they probe the cache, so nothing is remembered for them.)
   const auto work_bounded = [](std::uint64_t nodes,
                                std::shared_ptr<const CouplingGraph> device) {
     WorkflowOptions o;

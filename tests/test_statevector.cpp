@@ -216,8 +216,8 @@ void expect_width_rule() {
   SV wide(3);
   wide.apply(Gate::ry(0, M_PI / 2));
   wide.apply(Gate::cnot(0, 1));
-  const State bell2(make_ghz(2));
-  const State ghz3(make_ghz(3));
+  const State bell2 = State::from_real(make_ghz(2));
+  const State ghz3 = State::from_real(make_ghz(3));
   try {
     (void)narrow.inner_product(wide);
     ADD_FAILURE() << "wider statevector accepted";

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -9,8 +11,12 @@
 
 #include "arch/routing.hpp"
 #include "circuit/lowering.hpp"
+#include "circuit/qasm.hpp"
+#include "core/search_cache.hpp"
 #include "flow/methods.hpp"
+#include "prep/mflow.hpp"
 #include "service/equivalence_cache.hpp"
+#include "service/synthesis_service.hpp"
 #include "sim/verifier.hpp"
 #include "state/state_factory.hpp"
 #include "util/rng.hpp"
@@ -110,6 +116,84 @@ TEST(Workflow, HandlesSignedStatesViaFallback) {
     const WorkflowResult res = solver.prepare(target);
     ASSERT_TRUE(res.found);
     verify_preparation_or_throw(res.circuit, target);
+  }
+}
+
+/// 18 mixed-sign states at n = 1..5: the two smallest cases by hand, then
+/// alternately a uniform state over the whole register with one term
+/// negated and random real amplitudes with both signs. Most of them take
+/// the dense path with exact_max_qubits >= n.
+std::vector<QuantumState> mixed_sign_corpus() {
+  std::vector<QuantumState> corpus = {
+      QuantumState(1, {Term{0, -0.6}, Term{1, 0.8}}),
+      QuantumState(2, {Term{0, 1.0}, Term{3, -1.0}})};
+  Rng rng(2401);
+  for (int i = 0; corpus.size() < 18; ++i) {
+    const int n = 1 + (i / 2) % 5;
+    const std::uint64_t size = std::uint64_t{1} << n;
+    std::vector<Term> terms;
+    if (i % 2 == 0) {
+      for (BasisIndex x = 0; x < size; ++x) terms.push_back(Term{x, 1.0});
+      terms[rng.next_below(size)].amplitude = -1.0;
+    } else {
+      const int m = 2 + static_cast<int>(rng.next_below(size - 1));
+      terms = make_random_real(n, m, rng).terms();
+      const auto negative = [](const Term& t) { return t.amplitude < 0; };
+      if (std::all_of(terms.begin(), terms.end(), negative) ||
+          std::none_of(terms.begin(), terms.end(), negative)) {
+        terms.front().amplitude = -terms.front().amplitude;
+      }
+    }
+    corpus.emplace_back(n, std::move(terms));
+  }
+  return corpus;
+}
+
+/// Work-bounded kernels without wall budgets, at a given exact width.
+WorkflowOptions mixed_sign_options(int exact_max_qubits) {
+  WorkflowOptions options;
+  options.exact_max_qubits = exact_max_qubits;
+  options.exact.astar.time_budget_seconds = 0.0;
+  options.exact.beam.time_budget_seconds = 0.0;
+  options.exact.astar.node_budget = 1000;
+  options.exact.beam.beam_width = 1;
+  return options;
+}
+
+TEST(Workflow, MixedSignStatesVerify) {
+  // The dense path's marginal holds magnitudes, so a mixed-sign target no
+  // wider than exact_max_qubits used to come back with its signs lost,
+  // e.g. the other Bell state for (|00> - |11>)/sqrt(2).
+  for (const int width : {4, 6}) {
+    const Solver solver(mixed_sign_options(width));
+    for (const QuantumState& target : mixed_sign_corpus()) {
+      const WorkflowResult res = solver.prepare(target);
+      ASSERT_TRUE(res.found) << target.to_string();
+      const VerificationResult check =
+          verify_preparation(res.circuit, target);
+      EXPECT_TRUE(check.ok) << "exact_max_qubits=" << width << " "
+                            << target.to_string() << ": " << check.message;
+    }
+  }
+}
+
+TEST(Workflow, MixedSignQasmRequestsVerify) {
+  // The same corpus through the service's QASM front door, with each
+  // request written as perfbench writes its QASM requests.
+  SynthesisServiceOptions service_options;
+  service_options.num_workers = 2;
+  SynthesisService service(service_options);
+  for (const int width : {4, 6}) {
+    for (const QuantumState& target : mixed_sign_corpus()) {
+      const std::string qasm = to_qasm(mflow_prepare(target).circuit);
+      const ServiceResponse response =
+          service.submit_qasm(qasm, mixed_sign_options(width)).get();
+      ASSERT_TRUE(response.result.found) << target.to_string();
+      const VerificationResult check =
+          verify_preparation(response.result.circuit, target);
+      EXPECT_TRUE(check.ok) << "exact_max_qubits=" << width << " "
+                            << target.to_string() << ": " << check.message;
+    }
   }
 }
 
@@ -509,6 +593,55 @@ TEST(Workflow, DenseOutputsUnchangedByCostBound) {
     EXPECT_EQ(res.budget_exhausted, frozen[i].budget_exhausted) << ctx;
     verify_preparation_or_throw(res.circuit, corpus[i]);
   }
+}
+
+/// Records the cost bound of every A* probe. It never answers, so each
+/// search runs as it would without a cache.
+class BoundSpy : public SearchCache {
+ public:
+  Lookup begin(const SlotState&, const CanonicalWitness&,
+               const CacheFingerprint& fp, double, bool consult_only) override {
+    if (!consult_only) astar_bounds.push_back(fp.attempt->cost_bound);
+    return {};
+  }
+  void end(const SlotState&, const CanonicalWitness&, const CacheFingerprint&,
+           const SynthesisResult*) override {}
+
+  std::vector<std::int64_t> astar_bounds;
+};
+
+TEST(Workflow, NoExactAttemptRunsUnderABoundOfZero) {
+  // A dual-path attempt whose m-flow gates alone reach the dense cost is
+  // bounded by 0, and no circuit costs less than 0 CNOTs. Such attempts
+  // end before the canonical key and the cache probe, and every output
+  // stays as it is without a cache. Perfbench's dense options and inputs.
+  WorkflowOptions options;
+  options.exact.astar.time_budget_seconds = 0.0;
+  options.exact.beam.time_budget_seconds = 0.0;
+  options.exact.astar.node_budget = 1000;
+  options.exact.beam.beam_width = 1;
+  const Solver plain(options);
+  const auto spy = std::make_shared<BoundSpy>();
+  options.cache = spy;
+  const Solver spied(options);
+  for (const std::uint64_t seed : {1, 5, 4242}) {
+    Rng rng(seed);
+    for (int n = 5; n <= 8; ++n) {
+      for (int i = 0; i < 4; ++i) {
+        const QuantumState target = make_random_uniform(n, 1 << (n - 1), rng);
+        const std::string ctx =
+            "seed " + std::to_string(seed) + " " + target.to_string();
+        const WorkflowResult ref = plain.prepare(target);
+        const WorkflowResult res = spied.prepare(target);
+        ASSERT_TRUE(res.found) << ctx;
+        EXPECT_TRUE(res.circuit == ref.circuit) << ctx;
+        EXPECT_EQ(res.used_exact_tail, ref.used_exact_tail) << ctx;
+        EXPECT_EQ(res.budget_exhausted, ref.budget_exhausted) << ctx;
+      }
+    }
+  }
+  ASSERT_FALSE(spy->astar_bounds.empty());
+  for (const std::int64_t bound : spy->astar_bounds) EXPECT_GT(bound, 0);
 }
 
 }  // namespace
