@@ -49,24 +49,6 @@ std::string escape_json(const std::string& raw) {
   return out;
 }
 
-/// The JSON sink, resolved once: append to QSP_BENCH_JSON if set (so a CI
-/// sweep across several binaries lands in one file), stdout otherwise.
-std::ostream& json_sink() {
-  static std::ofstream* file = [] {
-    const char* path = std::getenv("QSP_BENCH_JSON");
-    if (path == nullptr || *path == '\0') return (std::ofstream*)nullptr;
-    auto* out = new std::ofstream(path, std::ios::app);
-    if (!out->is_open()) {
-      std::cerr << "QSP_BENCH_JSON: cannot open " << path
-                << ", falling back to stdout\n";
-      delete out;
-      return (std::ofstream*)nullptr;
-    }
-    return out;
-  }();
-  return file != nullptr ? *file : std::cout;
-}
-
 }  // namespace
 
 bool full_mode() { return env_flag("QSP_BENCH_FULL"); }
@@ -157,9 +139,31 @@ JsonField::JsonField(std::string k, int value)
 JsonField::JsonField(std::string k, bool value)
     : key(std::move(k)), rendered(value ? "true" : "false") {}
 
+/// The JSON sink, resolved once: append to QSP_BENCH_JSON if set (so a CI
+/// sweep across several binaries lands in one file), stdout otherwise.
+std::ostream& json_sink() {
+  static std::ofstream* file = [] {
+    const char* path = std::getenv("QSP_BENCH_JSON");
+    if (path == nullptr || *path == '\0') return (std::ofstream*)nullptr;
+    auto* out = new std::ofstream(path, std::ios::app);
+    if (!out->is_open()) {
+      std::cerr << "QSP_BENCH_JSON: cannot open " << path
+                << ", falling back to stdout\n";
+      delete out;
+      return (std::ofstream*)nullptr;
+    }
+    return out;
+  }();
+  return file != nullptr ? *file : std::cout;
+}
+
 void json_row(const std::string& bench,
               std::initializer_list<JsonField> fields) {
-  std::ostream& out = json_sink();
+  json_row(json_sink(), bench, fields);
+}
+
+void json_row(std::ostream& out, const std::string& bench,
+              std::initializer_list<JsonField> fields) {
   out << "{\"bench\":\"" << escape_json(bench) << "\"";
   for (const JsonField& field : fields) {
     out << ",\"" << escape_json(field.key) << "\":" << field.rendered;

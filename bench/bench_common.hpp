@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <iosfwd>
 #include <string>
 
 #include "circuit/circuit.hpp"
@@ -76,5 +77,13 @@ struct JsonField {
 /// to the file named by QSP_BENCH_JSON so table output stays clean.
 void json_row(const std::string& bench,
               std::initializer_list<JsonField> fields);
+
+/// The same row written to `out` (micro_core's A/B run writes one file per
+/// ISA).
+void json_row(std::ostream& out, const std::string& bench,
+              std::initializer_list<JsonField> fields);
+
+/// Where json_row writes: QSP_BENCH_JSON appended to, or stdout.
+std::ostream& json_sink();
 
 }  // namespace qsp::bench

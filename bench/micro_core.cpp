@@ -9,8 +9,21 @@
 // deterministic output checksum: bench_compare uses it to prove that
 // the scalar and AVX2 dispatch paths (util/simd.hpp) and the default and
 // -march builds compute bit-identical results end to end, not just per
-// primitive.
+// primitive. Each row's time is the median of several windows taken in
+// round-robin rounds over all rows, next to the spread between them.
+//
+// Usage: `micro_core` times the active ISA and writes to the json_row
+// sink (stdout or QSP_BENCH_JSON). `micro_core --ab SCALAR.jsonl
+// AVX2.jsonl` builds every row once per ISA and times the two in the
+// same rounds, each window of one next to the same row's window of the
+// other, so a slow spell of the host hits both sides of the comparison;
+// each ISA's rows go to its own file, for bench_compare --strict.
 
+#include <algorithm>
+#include <fstream>
+#include <functional>
+#include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -53,35 +66,65 @@ std::uint64_t checksum_vector(const std::vector<T>& v) {
   return checksum_bytes(v.data(), v.size() * sizeof(T));
 }
 
-/// Repeat `body` until the measurement window closes; returns seconds per
-/// iteration. One untimed warmup run first.
-template <typename F>
-double time_kernel(F&& body, std::uint64_t* iters_out) {
-  const double min_seconds = qsp::bench::smoke_mode() ? 0.02 : 0.15;
-  body();  // warmup (touch caches, fault pages)
-  Timer timer;
+/// One hand-timed kernel row: a body to time, the checksum of its output
+/// from one deterministic run, taken when the row is built, and the
+/// timing windows.
+struct KernelRow {
+  const char* kernel;
+  int n;
+  std::uint64_t checksum;
+  std::function<void()> body;
+  std::vector<double> windows = {};
   std::uint64_t iters = 0;
+};
+
+/// Timing windows per row. Every round times each row once, so a row's
+/// windows are spread over the whole run and a slow spell of the host
+/// lands in few of them.
+constexpr int kWindows = 7;
+
+/// Repeat the row's body until one measurement window closes, and record
+/// the window's seconds per iteration.
+void time_window(KernelRow& row) {
+  const double min_seconds = qsp::bench::smoke_mode() ? 0.02 : 0.15;
+  const Timer timer;
+  std::uint64_t n = 0;
   do {
-    body();
-    ++iters;
+    row.body();
+    ++n;
   } while (timer.seconds() < min_seconds);
-  if (iters_out != nullptr) *iters_out = iters;
-  return timer.seconds() / static_cast<double>(iters);
+  row.iters += n;
+  row.windows.push_back(timer.seconds() / static_cast<double>(n));
 }
 
-void kernel_row(const char* kernel, int n, double seconds_per_iter,
-                std::uint64_t iters, std::uint64_t checksum) {
-  qsp::bench::json_row(
-      "micro_core",
-      {{"kernel", kernel},
-       {"n", n},
-       {"seconds_per_iter", seconds_per_iter},
-       {"iters", iters},
-       {"checksum", checksum},
-       {"isa", simd::isa_name(simd::active_isa())}});
+/// The rows of one dispatch ISA and where they are written.
+struct Side {
+  simd::Isa isa;
+  std::ostream* out;
+  std::vector<KernelRow> rows = {};
+};
+
+/// One row per kernel: `seconds_per_iter` is the median window and
+/// `spread` is (second slowest - second fastest window) / median, the
+/// noise that bench_compare --strict weighs a slowdown against. The two
+/// extreme windows are left out so that one stray window cannot set it.
+void emit_kernel_rows(Side& side) {
+  for (KernelRow& row : side.rows) {
+    std::vector<double>& w = row.windows;
+    std::sort(w.begin(), w.end());
+    const double median = w[w.size() / 2];
+    qsp::bench::json_row(*side.out, "micro_core",
+                         {{"kernel", row.kernel},
+                          {"n", row.n},
+                          {"seconds_per_iter", median},
+                          {"spread", (w[w.size() - 2] - w[1]) / median},
+                          {"iters", row.iters},
+                          {"checksum", row.checksum},
+                          {"isa", simd::isa_name(side.isa)}});
+  }
 }
 
-void emit_canonical_rows() {
+void add_canonical_rows(std::vector<KernelRow>& rows) {
   struct Cell {
     const char* kernel;
     CanonicalLevel level;
@@ -111,12 +154,12 @@ void emit_canonical_rows() {
        *SlotState::from_state(make_dicke(4, 2))},
   };
   for (const Cell& cell : cells) {
-    CanonicalKey key;
-    std::uint64_t iters = 0;
-    const double spi = time_kernel(
-        [&] { key = canonical_key(cell.state, cell.level); }, &iters);
-    kernel_row(cell.kernel, cell.state.num_qubits(), spi, iters,
-               checksum_vector(key));
+    rows.push_back({cell.kernel, cell.state.num_qubits(),
+                    checksum_vector(canonical_key(cell.state, cell.level)),
+                    [state = cell.state, level = cell.level,
+                     key = CanonicalKey{}]() mutable {
+                      key = canonical_key(state, level);
+                    }});
   }
 }
 
@@ -148,164 +191,113 @@ std::uint64_t checksum_slots(const SlotState& s, std::uint64_t h) {
 
 /// Move generation and arc application, the per-expansion work of every
 /// search besides canonicalization and the heuristic.
-void emit_move_rows() {
+void add_move_rows(std::vector<KernelRow>& rows) {
   for (const int n : {4, 6, 8}) {
     const SlotState s = benchmark_state(n, 2 * n, 2);
-    const MoveGenOptions options;
-    std::vector<Move> moves;
-    std::uint64_t iters = 0;
-    const double spi =
-        time_kernel([&] { moves = enumerate_moves(s, options); }, &iters);
-    kernel_row("enumerate_moves", n, spi, iters, checksum_moves(moves));
+    rows.push_back({"enumerate_moves", n,
+                    checksum_moves(enumerate_moves(s, MoveGenOptions{})),
+                    [s, moves = std::vector<Move>{}]() mutable {
+                      moves = enumerate_moves(s, MoveGenOptions{});
+                    }});
   }
   for (const int n : {4, 6}) {
     const SlotState s = benchmark_state(n, 2 * n, 3);
     const std::vector<Move> moves = enumerate_moves(s, MoveGenOptions{});
     std::uint64_t ck = checksum_bytes(nullptr, 0);
     for (const Move& mv : moves) ck = checksum_slots(apply_move(s, mv), ck);
-    std::uint64_t total = 0;
-    std::uint64_t iters = 0;
-    const double spi = time_kernel(
-        [&] {
-          for (const Move& mv : moves) total += apply_move(s, mv).total();
-        },
-        &iters);
-    (void)total;
-    kernel_row("apply_move", n, spi, iters, ck);
+    rows.push_back({"apply_move", n, ck,
+                    [s, moves, total = std::uint64_t{0}]() mutable {
+                      for (const Move& mv : moves) {
+                        total += apply_move(s, mv).total();
+                      }
+                    }});
   }
 }
 
-void emit_heuristic_rows() {
+void add_heuristic_rows(std::vector<KernelRow>& rows) {
   for (const int n : {6, 10, 14}) {
     const SlotState s = benchmark_state(n, n, 4);
-    std::int64_t h = 0;
-    std::uint64_t iters = 0;
-    const double spi = time_kernel(
-        [&] { h = heuristic_lower_bound(s, HeuristicMode::kComponent); },
-        &iters);
-    kernel_row("heuristic_component", n, spi, iters,
-               static_cast<std::uint64_t>(h));
+    rows.push_back(
+        {"heuristic_component", n,
+         static_cast<std::uint64_t>(
+             heuristic_lower_bound(s, HeuristicMode::kComponent)),
+         [s, h = std::int64_t{0}]() mutable {
+           h = heuristic_lower_bound(s, HeuristicMode::kComponent);
+         }});
   }
 }
 
-void emit_compress_free_row() {
+void add_compress_free_row(std::vector<KernelRow>& rows) {
   std::vector<BasisIndex> idx;
   for (BasisIndex x = 0; x < 16; ++x) idx.push_back(x);
   const SlotState s = SlotState::from_indices(4, idx);
-  const std::uint64_t ck = compress_free(s).total();
-  std::uint64_t total = 0;
-  std::uint64_t iters = 0;
-  const double spi = time_kernel(
-      [&] { total += compress_free(s).total(); }, &iters);
-  (void)total;
-  kernel_row("compress_free", 4, spi, iters, ck);
+  rows.push_back({"compress_free", 4, compress_free(s).total(),
+                  [s, total = std::uint64_t{0}]() mutable {
+                    total += compress_free(s).total();
+                  }});
 }
 
-/// Time one gate sequence on `sv`, attaching as checksum the amplitudes
-/// after a single deterministic application on a copy of the initial
-/// state. The timing loop then iterates on `sv` freely: rotation drift
-/// there cannot leak into the checksum, so the row is reproducible no
-/// matter how many iterations the measurement window admits.
-template <typename SV, typename Body>
-void sv_kernel_row(const char* kernel, int n, SV& sv, Body&& body) {
+/// A row timing `gates`, applied in order, on its own copy of `sv`, with
+/// as checksum the amplitudes after a single deterministic application
+/// on another copy. The timing loop then iterates on its copy freely:
+/// rotation drift there cannot leak into the checksum, so the row is
+/// reproducible no matter how many iterations the windows admit.
+template <typename SV>
+KernelRow sv_kernel_row(const char* kernel, int n, SV sv,
+                        std::vector<Gate> gates) {
   SV probe = sv;
-  body(probe);
-  const std::uint64_t ck = checksum_vector(probe.amplitudes());
-  std::uint64_t iters = 0;
-  const double spi = time_kernel([&] { body(sv); }, &iters);
-  kernel_row(kernel, n, spi, iters, ck);
+  for (const Gate& g : gates) probe.apply(g);
+  return {kernel, n, checksum_vector(probe.amplitudes()),
+          [sv, gates]() mutable {
+            for (const Gate& g : gates) sv.apply(g);
+          }};
 }
 
-void emit_statevector_rows() {
+void add_statevector_rows(std::vector<KernelRow>& rows) {
   const int n = qsp::bench::smoke_mode() ? 14 : 18;
   const double theta = 0.3;
-
-  const auto warmed = [](int qubits) {
-    Statevector sv(qubits);
-    for (int q = 0; q < qubits; ++q) sv.apply(Gate::ry(q, 0.2 + 0.01 * q));
+  const auto warmed = [](auto sv) {
+    for (int q = 0; q < sv.num_qubits(); ++q) {
+      sv.apply(Gate::ry(q, 0.2 + 0.01 * q));
+    }
     return sv;
   };
-
-  {
-    // CNOT on a non-trivial state: block swaps over contiguous strides.
-    Statevector sv = warmed(n);
-    const Gate fwd = Gate::cnot(0, n - 1);
-    const Gate bwd = Gate::cnot(n - 1, 0);
-    sv_kernel_row("sv_cnot", n, sv, [&](Statevector& s) {
-      s.apply(fwd);
-      s.apply(bwd);
-    });
+  // Each sequence undoes itself (adjoint() negates the angles exactly).
+  // CNOT on a non-trivial state: block swaps over contiguous strides.
+  rows.push_back(sv_kernel_row("sv_cnot", n, warmed(Statevector(n)),
+                               {Gate::cnot(0, n - 1), Gate::cnot(n - 1, 0)}));
+  // Plain Ry: the dense rotate-pairs kernel, full 2^(n-1) pair sweep.
+  const Gate ry = Gate::ry(n / 2, theta);
+  rows.push_back(
+      sv_kernel_row("sv_ry", n, warmed(Statevector(n)), {ry, ry.adjoint()}));
+  // Multi-controlled Ry: masked pair sweep (run decomposition path).
+  const Gate mcry = Gate::mcry({{1, true}, {n - 2, false}}, n / 2, theta);
+  rows.push_back(sv_kernel_row("sv_mcry", n, warmed(Statevector(n)),
+                               {mcry, mcry.adjoint()}));
+  // Uniformly controlled Ry: per-pattern angles, table-driven runs.
+  std::vector<double> angles(8);
+  for (std::size_t s = 0; s < angles.size(); ++s) {
+    angles[s] = 0.1 + 0.05 * static_cast<double>(s);
   }
-
-  {
-    // Plain Ry: the dense rotate-pairs kernel, full 2^(n-1) pair sweep.
-    Statevector sv = warmed(n);
-    const Gate plus = Gate::ry(n / 2, theta);
-    const Gate minus = Gate::ry(n / 2, -theta);
-    sv_kernel_row("sv_ry", n, sv, [&](Statevector& s) {
-      s.apply(plus);
-      s.apply(minus);
-    });
+  const Gate ucry = Gate::ucry({0, 1, n - 1}, n / 2, angles);
+  rows.push_back(sv_kernel_row("sv_ucry", n, warmed(Statevector(n)),
+                               {ucry, ucry.adjoint()}));
+  // Complex path: Rz diagonal (unit-complex scaling) plus UCRz runs.
+  const int nc = n - 2;
+  angles.resize(4);
+  for (std::size_t s = 0; s < angles.size(); ++s) {
+    angles[s] = 0.2 + 0.05 * static_cast<double>(s);
   }
-
-  {
-    // Multi-controlled Ry: masked pair sweep (run decomposition path).
-    Statevector sv = warmed(n);
-    const std::vector<ControlLiteral> controls = {{1, true}, {n - 2, false}};
-    const Gate plus = Gate::mcry(controls, n / 2, theta);
-    const Gate minus = Gate::mcry(controls, n / 2, -theta);
-    sv_kernel_row("sv_mcry", n, sv, [&](Statevector& s) {
-      s.apply(plus);
-      s.apply(minus);
-    });
-  }
-
-  {
-    // Uniformly controlled Ry: per-pattern angles, table-driven runs.
-    Statevector sv = warmed(n);
-    const std::vector<int> controls = {0, 1, n - 1};
-    std::vector<double> angles(8);
-    std::vector<double> neg(8);
-    for (std::size_t s = 0; s < angles.size(); ++s) {
-      angles[s] = 0.1 + 0.05 * static_cast<double>(s);
-      neg[s] = -angles[s];
-    }
-    const Gate plus = Gate::ucry(controls, n / 2, angles);
-    const Gate minus = Gate::ucry(controls, n / 2, neg);
-    sv_kernel_row("sv_ucry", n, sv, [&](Statevector& s) {
-      s.apply(plus);
-      s.apply(minus);
-    });
-  }
-
-  {
-    // Complex path: Rz diagonal (unit-complex scaling) plus UCRz runs.
-    const int nc = n - 2;
-    ComplexStatevector sv(nc);
-    for (int q = 0; q < nc; ++q) sv.apply(Gate::ry(q, 0.2 + 0.01 * q));
-    const std::vector<int> controls = {0, nc - 1};
-    std::vector<double> angles(4);
-    std::vector<double> neg(4);
-    for (std::size_t s = 0; s < angles.size(); ++s) {
-      angles[s] = 0.2 + 0.05 * static_cast<double>(s);
-      neg[s] = -angles[s];
-    }
-    const Gate rz_plus = Gate::rz(nc / 2, theta);
-    const Gate rz_minus = Gate::rz(nc / 2, -theta);
-    const Gate uc_plus = Gate::ucrz(controls, nc / 2, angles);
-    const Gate uc_minus = Gate::ucrz(controls, nc / 2, neg);
-    sv_kernel_row("csv_rz_ucrz", nc, sv, [&](ComplexStatevector& s) {
-      s.apply(rz_plus);
-      s.apply(uc_plus);
-      s.apply(uc_minus);
-      s.apply(rz_minus);
-    });
-  }
+  const Gate rz = Gate::rz(nc / 2, theta);
+  const Gate ucrz = Gate::ucrz({0, nc - 1}, nc / 2, angles);
+  rows.push_back(sv_kernel_row("csv_rz_ucrz", nc,
+                               warmed(ComplexStatevector(nc)),
+                               {rz, ucrz, ucrz.adjoint(), rz.adjoint()}));
 }
 
 /// One canonical-schema json_row per exact-kernel instance (end-to-end
 /// searches), with queue- and arena-pressure stats next to the timing.
-void emit_search_rows() {
+void emit_search_rows(std::ostream& out) {
   struct Cell {
     const char* instance;
     QuantumState state;
@@ -320,7 +312,7 @@ void emit_search_rows() {
       const SynthesisResult res =
           AStarSynthesizer(options).synthesize(cell.state);
       qsp::bench::json_row(
-          "micro_core",
+          out, "micro_core",
           {{"instance", cell.instance},
            {"method", "astar"},
            {"cnot_cost", res.cnot_cost},
@@ -343,7 +335,7 @@ void emit_search_rows() {
 /// rounds differently (say, multiply-adds contracted into FMAs) cannot
 /// match the baseline. The one pass is timed as `seconds`, which
 /// bench_compare --strict does not gate.
-void emit_solver_row() {
+void emit_solver_row(std::ostream& out) {
   std::vector<QuantumState> corpus;
   Rng rng(31);
   for (int n = 8; n <= 12; ++n) {
@@ -381,7 +373,7 @@ void emit_solver_row() {
     const std::int64_t cnots = count_cnots_after_lowering(circuit);
     ck = checksum_bytes(&cnots, sizeof cnots, ck);
   }
-  qsp::bench::json_row("micro_core",
+  qsp::bench::json_row(out, "micro_core",
                        {{"kernel", "solver_prepare"},
                         {"n", 12},
                         {"seconds", timer.seconds()},
@@ -389,19 +381,67 @@ void emit_solver_row() {
                         {"isa", simd::isa_name(simd::active_isa())}});
 }
 
-void emit_kernel_json() {
-  emit_canonical_rows();
-  emit_move_rows();
-  emit_heuristic_rows();
-  emit_compress_free_row();
-  emit_statevector_rows();
-  emit_search_rows();
-  emit_solver_row();
+std::vector<KernelRow> kernel_rows() {
+  std::vector<KernelRow> rows;
+  add_canonical_rows(rows);
+  add_move_rows(rows);
+  add_heuristic_rows(rows);
+  add_compress_free_row(rows);
+  add_statevector_rows(rows);
+  return rows;
+}
+
+/// Builds each side's rows under its ISA (so each checksum is that ISA's
+/// output), times them in kWindows rounds and emits them. Within a round
+/// every row is timed once per side back to back, and the sides swap
+/// places every round so neither always runs second.
+void run(std::vector<Side>& sides) {
+  for (Side& side : sides) {
+    const simd::ScopedIsaForTesting isa(side.isa);
+    side.rows = kernel_rows();
+    for (const KernelRow& row : side.rows) row.body();  // touch caches
+  }
+  for (int round = 0; round < kWindows; ++round) {
+    for (std::size_t i = 0; i < sides[0].rows.size(); ++i) {
+      for (std::size_t k = 0; k < sides.size(); ++k) {
+        Side& side = sides[round % 2 == 0 ? k : sides.size() - 1 - k];
+        const simd::ScopedIsaForTesting isa(side.isa);
+        time_window(side.rows[i]);
+      }
+    }
+  }
+  for (Side& side : sides) {
+    const simd::ScopedIsaForTesting isa(side.isa);
+    emit_kernel_rows(side);
+    emit_search_rows(*side.out);
+    emit_solver_row(*side.out);
+  }
 }
 
 }  // namespace
 
-int main() {
-  emit_kernel_json();
+int main(int argc, char** argv) {
+  if (argc == 1) {
+    std::vector<Side> sides = {{simd::active_isa(), &qsp::bench::json_sink()}};
+    run(sides);
+    return 0;
+  }
+  if (argc != 4 || std::string(argv[1]) != "--ab") {
+    std::cerr << "usage: micro_core [--ab SCALAR.jsonl AVX2.jsonl]\n";
+    return 2;
+  }
+  if (!simd::avx2_supported()) {
+    std::cerr << "micro_core --ab: AVX2 not supported on this CPU/build\n";
+    return 1;
+  }
+  std::ofstream scalar(argv[2]);
+  std::ofstream avx2(argv[3]);
+  if (!scalar || !avx2) {
+    std::cerr << "micro_core --ab: cannot open the output files\n";
+    return 1;
+  }
+  std::vector<Side> sides = {{simd::Isa::kScalar, &scalar},
+                             {simd::Isa::kAvx2, &avx2}};
+  run(sides);
   return 0;
 }

@@ -28,6 +28,16 @@ int checked_qubit_count(std::int64_t num_qubits, const char* who) {
   return static_cast<int>(num_qubits);
 }
 
+/// Throws std::invalid_argument naming `caller` unless `q` is a qubit of
+/// an `n`-qubit device.
+void require_device_qubit(int q, int n, const char* caller) {
+  if (q < 0 || q >= n) {
+    throw std::invalid_argument(std::string(caller) + ": qubit " +
+                                std::to_string(q) + " is not on the " +
+                                std::to_string(n) + "-qubit device");
+  }
+}
+
 }  // namespace
 
 CouplingGraph::CouplingGraph(int num_qubits,
@@ -325,13 +335,14 @@ std::int64_t CouplingGraph::steiner_edges(std::uint32_t terminals) const {
 }
 
 bool CouplingGraph::has_edge(int a, int b) const {
-  QSP_ASSERT(a >= 0 && a < num_qubits_ && b >= 0 && b < num_qubits_);
+  if (a < 0 || a >= num_qubits_ || b < 0 || b >= num_qubits_) return false;
   const auto& neighbors = adjacency_[static_cast<std::size_t>(a)];
   return std::binary_search(neighbors.begin(), neighbors.end(), b);
 }
 
 int CouplingGraph::distance(int a, int b) const {
-  QSP_ASSERT(a >= 0 && a < num_qubits_ && b >= 0 && b < num_qubits_);
+  require_device_qubit(a, num_qubits_, "CouplingGraph::distance");
+  require_device_qubit(b, num_qubits_, "CouplingGraph::distance");
   const int d = distance_[static_cast<std::size_t>(a)]
                          [static_cast<std::size_t>(b)];
   if (d < 0) {
@@ -356,8 +367,14 @@ bool CouplingGraph::is_connected() const {
 }
 
 std::int64_t CouplingGraph::routed_cnot_cost(int control, int target) const {
+  const char* caller = "CouplingGraph::routed_cnot_cost";
+  require_device_qubit(control, num_qubits_, caller);
+  require_device_qubit(target, num_qubits_, caller);
+  if (control == target) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": control equals target");
+  }
   const int d = distance(control, target);
-  QSP_ASSERT(d >= 1);
   return d == 1 ? 1 : 4 * (static_cast<std::int64_t>(d) - 1);
 }
 

@@ -35,8 +35,11 @@ class CouplingGraph {
   static CouplingGraph heavy_hex(int distance);
 
   int num_qubits() const { return num_qubits_; }
+  /// True when a and b are adjacent device qubits; false when either is
+  /// not a qubit of the device, since no edge reaches a missing wire.
   bool has_edge(int a, int b) const;
-  /// BFS hop distance; throws if the graph is disconnected between a, b.
+  /// BFS hop distance; throws std::invalid_argument if either qubit is
+  /// not on the device or the graph is disconnected between a, b.
   int distance(int a, int b) const;
   bool is_complete() const;
   bool is_connected() const;
@@ -66,7 +69,8 @@ class CouplingGraph {
   static constexpr int kSteinerExactQubits = 12;
 
   /// Routed CNOT cost: 1 on an edge, else the nearest-neighbour parity
-  /// ladder 4*(d - 1) (see routing.hpp).
+  /// ladder 4*(d - 1) (see routing.hpp). Throws std::invalid_argument
+  /// where distance does, and when control equals target.
   std::int64_t routed_cnot_cost(int control, int target) const;
 
   /// Routed cost of a (multi-)controlled rotation: the gray-code lowering

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/assert.hpp"
-
 namespace qsp {
 
 void emit_routed_cnot(Circuit& out, const std::vector<int>& path,
                       bool positive) {
-  QSP_ASSERT(path.size() >= 2);
+  if (path.size() < 2) {
+    throw std::invalid_argument(
+        "emit_routed_cnot: path needs a control and a target");
+  }
   const int control = path.front();
   if (!positive) out.append(Gate::x(control));
   if (path.size() == 2) {

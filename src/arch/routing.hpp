@@ -17,7 +17,8 @@ namespace qsp {
 ///   B  = CX(p_{k-2}->p_{k-1}) ... CX(p0->p1) restore intermediates
 ///   A' = A without p0's gate, B' = B without p0's gate
 /// A B A' B' leaves p_k ^= p_0 and everything else unchanged: 4(k-1)
-/// CNOTs for distance k >= 2.
+/// CNOTs for distance k >= 2. A path shorter than two wires throws
+/// std::invalid_argument.
 void emit_routed_cnot(Circuit& out, const std::vector<int>& path,
                       bool positive);
 
@@ -32,7 +33,8 @@ Circuit route_circuit(const Circuit& circuit, const CouplingGraph& coupling,
 /// True if the circuit is native for the device: 1-qubit gates plus
 /// positively controlled CNOTs on coupling edges only. Composite
 /// rotations (CRy/MCRy/UCRy) and negative controls fail conformance even
-/// when their wires touch an edge — lower/route first.
+/// when their wires touch an edge — lower/route first. A two-qubit gate
+/// on a wire the device lacks fails too.
 bool respects_coupling(const Circuit& circuit,
                        const CouplingGraph& coupling);
 

@@ -61,12 +61,6 @@ std::size_t Circuit::depth() const {
   return depth;
 }
 
-std::map<GateKind, std::size_t> Circuit::gate_counts() const {
-  std::map<GateKind, std::size_t> counts;
-  for (const Gate& g : gates_) ++counts[g.kind()];
-  return counts;
-}
-
 std::string Circuit::to_string() const {
   std::ostringstream os;
   for (const Gate& g : gates_) os << g.to_string() << '\n';

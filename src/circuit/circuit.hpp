@@ -3,7 +3,6 @@
 // right: state' = U_l ... U_2 U_1 |state>.
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -36,9 +35,6 @@ class Circuit {
   /// Wire-parallel circuit depth: gates on disjoint wires share a layer,
   /// gates sharing any wire (target or control) stack. 0 when empty.
   std::size_t depth() const;
-
-  /// Gate-count histogram by kind.
-  std::map<GateKind, std::size_t> gate_counts() const;
 
   /// One gate per line.
   std::string to_string() const;

@@ -8,7 +8,11 @@
 namespace qsp {
 
 std::int64_t rotation_cost(int num_controls) {
-  QSP_ASSERT(num_controls >= 0 && num_controls < 63);
+  if (num_controls < 0 || num_controls >= 63) {
+    throw std::invalid_argument("rotation_cost: control count " +
+                                std::to_string(num_controls) +
+                                " outside [0, 63)");
+  }
   if (num_controls == 0) return 0;
   if (num_controls == 1) return 2;
   return std::int64_t{1} << num_controls;

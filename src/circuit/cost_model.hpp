@@ -21,7 +21,8 @@ namespace qsp {
 std::int64_t gate_cnot_cost(const Gate& gate);
 
 /// Model cost of a rotation/relabel arc with `num_controls` control
-/// literals: 0 -> 0 (Ry), 1 -> 2 (CRy), c -> 2^c (MCRy).
+/// literals: 0 -> 0 (Ry), 1 -> 2 (CRy), c -> 2^c (MCRy). Throws
+/// std::invalid_argument outside [0, 63).
 std::int64_t rotation_cost(int num_controls);
 
 /// Number of native two-qubit gates in a circuit legalized for `target`.

@@ -2,32 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
 namespace qsp {
-namespace {
-
-void add_diagnostic(LintReport& report, LintRule rule, std::int64_t index,
-                    std::string message) {
-  LintDiagnostic d;
-  d.rule = rule;
-  d.severity = lint_rule_severity(rule);
-  d.gate_index = index;
-  d.message = std::move(message);
-  report.diagnostics.push_back(std::move(d));
-}
-
-bool trivial_angle(double theta) {
-  return std::abs(theta) <= kIdentityAngleEpsilon;
-}
-
-bool all_trivial(const std::vector<double>& angles) {
-  return std::all_of(angles.begin(), angles.end(), trivial_angle);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // AffineForm
@@ -221,7 +199,7 @@ GateVerdict DataflowEngine::apply(const Gate& gate, std::int64_t index) {
       return verdict;
     }
     case GateKind::kRy: {
-      if (!trivial_angle(gate.theta())) {
+      if (!is_identity_rotation(gate)) {
         forms_[static_cast<std::size_t>(t)] = fresh_variable();
       }
       invalidate_records(gate);
@@ -229,14 +207,13 @@ GateVerdict DataflowEngine::apply(const Gate& gate, std::int64_t index) {
     }
     case GateKind::kCRy:
     case GateKind::kMCRy: {
-      if (!trivial_angle(gate.theta())) {
+      if (!is_identity_rotation(gate)) {
         verdict = controlled_rotation_verdict(gate);
-      }
-      if (verdict.action != GateVerdict::Action::kDrop &&
-          !trivial_angle(gate.theta())) {
-        forms_[static_cast<std::size_t>(t)] = fresh_variable();
-        for (const ControlLiteral& c : gate.controls()) {
-          if (!wire_constant(c.qubit).has_value()) merge(c.qubit, t);
+        if (verdict.action != GateVerdict::Action::kDrop) {
+          forms_[static_cast<std::size_t>(t)] = fresh_variable();
+          for (const ControlLiteral& c : gate.controls()) {
+            if (!wire_constant(c.qubit).has_value()) merge(c.qubit, t);
+          }
         }
       }
       invalidate_records(gate);
@@ -245,7 +222,7 @@ GateVerdict DataflowEngine::apply(const Gate& gate, std::int64_t index) {
     case GateKind::kUCRy:
     case GateKind::kUCRz: {
       const bool y_axis = gate.kind() == GateKind::kUCRy;
-      if (all_trivial(gate.angles())) {
+      if (is_identity_rotation(gate)) {
         invalidate_records(gate);
         return verdict;  // identity: leave it to dead-rotation
       }
@@ -312,7 +289,8 @@ GateVerdict DataflowEngine::apply(const Gate& gate, std::int64_t index) {
       }
       // Every control constant: one row of the table survives.
       const double theta = gate.angles()[fixed_pattern];
-      if (trivial_angle(theta)) {
+      Gate selected = y_axis ? Gate::ry(t, theta) : Gate::rz(t, theta);
+      if (is_identity_rotation(selected)) {
         reason << "; the selected multiplexor angle is zero — the gate is "
                   "the identity on every reachable state";
         verdict.action = GateVerdict::Action::kDrop;
@@ -321,7 +299,7 @@ GateVerdict DataflowEngine::apply(const Gate& gate, std::int64_t index) {
         return verdict;
       }
       verdict.action = GateVerdict::Action::kReplace;
-      verdict.replacement = y_axis ? Gate::ry(t, theta) : Gate::rz(t, theta);
+      verdict.replacement = std::move(selected);
       reason << "; demote to '" << verdict.replacement->to_string() << "'";
       verdict.reason = reason.str();
       if (y_axis) forms_[static_cast<std::size_t>(t)] = fresh_variable();
@@ -363,7 +341,7 @@ GateVerdict DataflowEngine::apply(const Gate& gate, std::int64_t index) {
     }
     case GateKind::kRZZ: {
       const int a = gate.controls()[0].qubit;
-      if (!trivial_angle(gate.theta()) &&
+      if (!is_identity_rotation(gate) &&
           !forms_[static_cast<std::size_t>(a)].is_constant() &&
           !forms_[static_cast<std::size_t>(t)].is_constant()) {
         merge(a, t);
@@ -541,15 +519,13 @@ LintReport dataflow_lint(const Circuit& circuit,
       case GateVerdict::Action::kKeep:
         break;
       case GateVerdict::Action::kDrop:
-        add_diagnostic(report, LintRule::kDeadControl, index, verdict.reason);
+        report.add(LintRule::kDeadControl, index, verdict.reason);
         break;
       case GateVerdict::Action::kReplace:
-        add_diagnostic(report, LintRule::kConstantOneControl, index,
-                       verdict.reason);
+        report.add(LintRule::kConstantOneControl, index, verdict.reason);
         break;
       case GateVerdict::Action::kCancelPair:
-        add_diagnostic(report, LintRule::kRedundantCnot, index,
-                       verdict.reason);
+        report.add(LintRule::kRedundantCnot, index, verdict.reason);
         break;
     }
   }
@@ -567,7 +543,7 @@ LintReport dataflow_lint(const Circuit& circuit,
                   .form.to_string()
            << ")";
       }
-      add_diagnostic(report, LintRule::kAncillaReleasedDirty, -1, os.str());
+      report.add(LintRule::kAncillaReleasedDirty, -1, os.str());
     }
   }
   return report;

@@ -165,10 +165,50 @@ Gate Gate::remapped(const std::vector<int>& qubit_map) const {
     }
     return qubit_map[static_cast<std::size_t>(q)];
   };
-  Gate g = *this;
-  g.target_ = map(target_);
-  for (ControlLiteral& c : g.controls_) c.qubit = map(c.qubit);
-  check_controls(g.controls_, g.target_);
+  const int t = map(target_);
+  // The factories re-validate the mapped wires and restore each kind's
+  // canonical form.
+  Gate g = [&] {
+    switch (kind_) {
+      case GateKind::kX:
+        return x(t);
+      case GateKind::kRy:
+        return ry(t, theta_);
+      case GateKind::kRz:
+        return rz(t, theta_);
+      case GateKind::kCNOT:
+        return cnot(map(controls_[0].qubit), t, controls_[0].positive);
+      case GateKind::kCRy:
+        return cry(map(controls_[0].qubit), t, theta_, controls_[0].positive);
+      case GateKind::kMCRy: {
+        std::vector<ControlLiteral> controls = controls_;
+        for (ControlLiteral& c : controls) c.qubit = map(c.qubit);
+        return mcry(std::move(controls), t, theta_);
+      }
+      case GateKind::kUCRy:
+      case GateKind::kUCRz: {
+        // The table is indexed by control position, so the order stays.
+        std::vector<int> wires;
+        wires.reserve(controls_.size());
+        for (const ControlLiteral& c : controls_) {
+          wires.push_back(map(c.qubit));
+        }
+        return kind_ == GateKind::kUCRy ? ucry(std::move(wires), t, angles_)
+                                        : ucrz(std::move(wires), t, angles_);
+      }
+      case GateKind::kCZ:
+        return cz(map(controls_[0].qubit), t);
+      case GateKind::kISwap:
+        return iswap(map(controls_[0].qubit), t);
+      case GateKind::kRZZ:
+        return rzz(map(controls_[0].qubit), t, theta_);
+    }
+    throw std::logic_error("Gate::remapped: unknown gate kind");
+  }();
+  // Only the wires change. A kind without an angle keeps its unused theta
+  // bit for bit too: adjoint() leaves -0.0 there, and outputs that went
+  // through a remap must hash as they did before it.
+  g.theta_ = theta_;
   return g;
 }
 
@@ -240,6 +280,35 @@ std::string Gate::to_string() const {
       break;
   }
   return os.str();
+}
+
+bool is_identity_rotation(const Gate& gate) {
+  const auto identity = [](double a) {
+    return std::abs(a) <= kIdentityAngleEpsilon;
+  };
+  switch (gate.kind()) {
+    case GateKind::kRy:
+    case GateKind::kCRy:
+    case GateKind::kMCRy:
+    case GateKind::kRz:
+    case GateKind::kRZZ:
+      return identity(gate.theta());
+    case GateKind::kUCRy:
+    case GateKind::kUCRz:
+      return std::all_of(gate.angles().begin(), gate.angles().end(),
+                         identity);
+    case GateKind::kX:
+    case GateKind::kCNOT:
+    case GateKind::kCZ:
+    case GateKind::kISwap:
+      return false;
+  }
+  return false;
+}
+
+bool is_self_inverse(GateKind kind) {
+  return kind == GateKind::kX || kind == GateKind::kCNOT ||
+         kind == GateKind::kCZ;
 }
 
 }  // namespace qsp

@@ -35,6 +35,7 @@ enum class GateKind : std::uint8_t {
 /// Rotations with every |angle| at or below this are the identity: the
 /// dead-rotation pass drops them, zero-eliding lowering skips them, lint
 /// rule QL006 flags them and the dataflow engine does not widen on them.
+/// is_identity_rotation (below) is the one place that applies it.
 inline constexpr double kIdentityAngleEpsilon = 1e-12;
 
 /// A control literal: gate fires when `qubit` holds `positive ? 1 : 0`.
@@ -46,7 +47,11 @@ struct ControlLiteral {
                          const ControlLiteral&) = default;
 };
 
-/// One gate instance. Use the static factories; they validate arguments.
+/// One gate instance. The static factories are the only way to build one,
+/// and every Gate obeys their rules: wires are non-negative and distinct,
+/// CZ/iSWAP/RZZ store their lower wire as the positive control literal,
+/// MCRy controls are sorted by wire, and a UCRy/UCRz angle table has
+/// 2^controls entries.
 class Gate {
  public:
   static Gate x(int target);
@@ -86,7 +91,14 @@ class Gate {
   Gate adjoint() const;
 
   /// Gate with every qubit id q replaced by qubit_map[q] (used to embed
-  /// narrow sub-circuits into a wider register).
+  /// narrow sub-circuits into a wider register and to relabel cached
+  /// templates), built by this kind's factory: the result equals the gate
+  /// the factory makes from the mapped fields, so a symmetric pair comes
+  /// back in (lower, higher) order and MCRy controls come back sorted.
+  /// Only the wires change: angles, tables and the unused theta of a kind
+  /// without an angle keep their bits.
+  /// Throws std::invalid_argument for a qubit outside the map, and for a
+  /// map that sends a wire negative or two of the gate's wires together.
   Gate remapped(const std::vector<int>& qubit_map) const;
 
   /// All qubits the gate touches (target + controls).
@@ -108,5 +120,14 @@ class Gate {
   std::vector<ControlLiteral> controls_;
   std::vector<double> angles_;  // UCRy only
 };
+
+/// True when the gate is a rotation (Ry, CRy, MCRy, Rz, RZZ, UCRy, UCRz)
+/// whose every angle has magnitude at most kIdentityAngleEpsilon, so the
+/// gate is the identity.
+bool is_identity_rotation(const Gate& gate);
+
+/// True for the kinds that are their own inverse (X, CNOT, CZ): two equal
+/// adjacent gates of such a kind are the identity.
+bool is_self_inverse(GateKind kind);
 
 }  // namespace qsp

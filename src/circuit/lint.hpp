@@ -1,11 +1,15 @@
 #pragma once
 // Static circuit/IR linter: a no-simulation rule engine over
 // Circuit x Target x CouplingGraph x pass preserve-declarations. Every
-// rule is a cheap structural scan — wire bounds, duplicate/overlapping
-// controls, symmetric-gate canonical wire order, native-gate-set and
-// coupling conformance, degenerate rotations and known identities,
-// pass-contract consistency — producing coded (QL000..QL010),
-// severity-ranked diagnostics with JSON output. Three consumers:
+// rule is a cheap structural scan — native-gate-set and coupling
+// conformance, non-finite angles, degenerate rotations and known
+// identities, pass-contract consistency, the caller's policy mask —
+// producing coded (QL000..QL014) severity-ranked diagnostics with JSON
+// output. The rules a single Gate must obey (wires in range and
+// distinct, canonical symmetric wire order, multiplexor table size) are
+// not lint rules: the Gate factories and Circuit::append enforce them on
+// every gate, and the QASM front door reports their throws as QL000.
+// Three consumers:
 //   * PassPipeline runs the error rules after every productive pass
 //     application, release builds included (the always-on complement to
 //     the debug-only statevector re-verify);
@@ -38,15 +42,14 @@ enum class LintSeverity : int {
 std::string_view lint_severity_name(LintSeverity severity);
 
 /// The rule catalog. Codes are stable ("QL" + three digits, the enum
-/// value); severities are fixed per rule (lint_rule_severity).
+/// value); severities are fixed per rule (lint_rule_severity). QL001-QL003
+/// (wire bounds, overlapping controls, symmetric wire order) are retired
+/// and their numbers stay unused: the Gate factories own those rules, so
+/// no Circuit can break them.
 enum class LintRule : int {
-  kParseError = 0,             ///< QL000: QASM text failed to parse.
-  kWireBounds = 1,             ///< QL001: wire outside [0, num_qubits).
-  kOverlappingControls = 2,    ///< QL002: duplicate control, or control
-                               ///<        on the target wire.
-  kNoncanonicalSymmetric = 3,  ///< QL003: CZ/iSWAP/RZZ stored against the
-                               ///<        canonical (lower, positive)
-                               ///<        wire-order convention.
+  kParseError = 0,             ///< QL000: QASM text failed to parse (or
+                               ///<        named a gate the factories
+                               ///<        reject).
   kNonNativeGate = 4,          ///< QL004: gate outside the target's
                                ///<        native set.
   kCouplingViolation = 5,      ///< QL005: native two-qubit gate off the
@@ -59,9 +62,7 @@ enum class LintRule : int {
                                ///<        (warning).
   kPassContract = 8,           ///< QL008: pass output inconsistent with
                                ///<        its preserves() declaration.
-  kMalformedAngles = 9,        ///< QL009: non-finite angle, or a
-                               ///<        multiplexor angle table of the
-                               ///<        wrong size.
+  kMalformedAngles = 9,        ///< QL009: non-finite angle.
   kUnsupportedGate = 10,       ///< QL010: gate kind outside the caller's
                                ///<        allowed set (policy mask).
   // QL011..QL014 are the flow-sensitive rules: they need facts that flow
@@ -86,9 +87,9 @@ enum class LintRule : int {
                                ///<        circuit end.
 };
 
-/// Stable code, e.g. "QL003".
+/// Stable code, e.g. "QL004".
 std::string_view lint_rule_code(LintRule rule);
-/// Stable kebab-case name, e.g. "canonical-wire-order".
+/// Stable kebab-case name, e.g. "non-native-gate".
 std::string_view lint_rule_name(LintRule rule);
 /// Fixed severity class of the rule.
 LintSeverity lint_rule_severity(LintRule rule);
@@ -101,7 +102,7 @@ struct LintDiagnostic {
   std::int64_t gate_index = -1;
   std::string message;
 
-  /// "error[QL001] gate 3: <message>".
+  /// "error[QL004] gate 3: <message>".
   std::string to_string() const;
 };
 
@@ -114,8 +115,9 @@ struct LintOptions {
   /// Check native-set conformance (QL004) against this target. Unset, the
   /// rule is skipped — pre-lowering circuits are legitimately composite.
   std::optional<Target> target;
-  /// Check native two-qubit gates sit on device edges (QL005). Composite
-  /// gates are skipped (they are routed during lowering, not here).
+  /// Check native two-qubit gates sit on device edges (QL005); a gate on
+  /// a wire the device lacks sits on no edge. Composite gates are skipped
+  /// (they are routed during lowering, not here).
   std::shared_ptr<const CouplingGraph> coupling;
   /// QL006: rotations with every |angle| at or below
   /// kIdentityAngleEpsilon (warning). Off in the pipeline gate —
@@ -132,6 +134,9 @@ struct LintOptions {
 struct LintReport {
   std::vector<LintDiagnostic> diagnostics;
 
+  /// Append one diagnostic at the rule's fixed severity.
+  void add(LintRule rule, std::int64_t gate_index, std::string message);
+
   bool has_errors() const;
   bool has_warnings() const;
   std::size_t count(LintSeverity severity) const;
@@ -140,25 +145,6 @@ struct LintReport {
   /// JSON array of {code, name, severity, gate, message} objects.
   std::string to_json() const;
 };
-
-/// Gate fields before Gate-factory validation. The factories reject
-/// malformed gates at construction, so rules like QL001/QL002 can only
-/// fire on gates that never went through them — QASM-like front ends and
-/// the linter's own tests use this seam.
-struct RawGate {
-  GateKind kind = GateKind::kX;
-  int target = 0;
-  double theta = 0.0;
-  std::vector<ControlLiteral> controls;
-  std::vector<double> angles;
-
-  static RawGate from(const Gate& gate);
-};
-
-/// Lint one raw gate against a register of `num_qubits` wires, appending
-/// diagnostics to `report`.
-void lint_raw_gate(const RawGate& gate, std::int64_t index, int num_qubits,
-                   const LintOptions& options, LintReport& report);
 
 /// Lint a circuit: every per-gate rule plus the adjacency patterns.
 LintReport lint_circuit(const Circuit& circuit,
@@ -187,9 +173,6 @@ CircuitFacts circuit_facts(const Circuit& circuit,
 /// `options.coupling` is set). Purely structural — the simulation-based
 /// preparation check stays in the pipeline's debug verify.
 LintReport lint_pass_application(const Pass& pass, const CircuitFacts& before,
-                                 const Circuit& after,
-                                 const LintOptions& options = {});
-LintReport lint_pass_application(const Pass& pass, const Circuit& before,
                                  const Circuit& after,
                                  const LintOptions& options = {});
 

@@ -1,7 +1,7 @@
 #include "circuit/lowering.hpp"
 
-#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "circuit/cost_model.hpp"
 #include "util/assert.hpp"
@@ -58,9 +58,9 @@ void emit_ucr(Circuit& out, const std::vector<int>& controls, int target,
   };
   const std::size_t c = controls.size();
   if (c == 0) {
-    if (std::abs(pattern_angles[0]) > kIdentityAngleEpsilon ||
-        !options.elide_zero_rotations) {
-      out.append(rotation(pattern_angles[0]));
+    Gate r = rotation(pattern_angles[0]);
+    if (!options.elide_zero_rotations || !is_identity_rotation(r)) {
+      out.append(std::move(r));
     }
     return;
   }
@@ -79,10 +79,10 @@ void emit_ucr(Circuit& out, const std::vector<int>& controls, int target,
     pending_mask = 0;
   };
   for (std::uint32_t j = 0; j < slots; ++j) {
-    const bool zero = std::abs(phi[j]) <= kIdentityAngleEpsilon;
-    if (!options.elide_zero_rotations || !zero) {
+    Gate r = rotation(phi[j]);
+    if (!options.elide_zero_rotations || !is_identity_rotation(r)) {
       flush();
-      out.append(rotation(phi[j]));
+      out.append(std::move(r));
     }
     const int change =
         (j + 1 == slots) ? static_cast<int>(c) - 1 : gray_change_bit(j);
@@ -136,10 +136,6 @@ class UcrGrayLowerPass final : public Pass {
 
   bool run(Circuit& circuit, const PassOptions& options) const override {
     const LoweringOptions lowering{options.elide_zero_rotations};
-    auto trivial = [&](const Gate& g) {
-      return lowering.elide_zero_rotations &&
-             std::abs(g.theta()) <= kIdentityAngleEpsilon;
-    };
     bool changed = false;
     Circuit out(circuit.num_qubits());
     for (const Gate& g : circuit.gates()) {
@@ -152,7 +148,7 @@ class UcrGrayLowerPass final : public Pass {
           break;
         case GateKind::kRy:
         case GateKind::kRz:
-          if (trivial(g)) {
+          if (lowering.elide_zero_rotations && is_identity_rotation(g)) {
             changed = true;
           } else {
             out.append(g);
@@ -280,6 +276,26 @@ class NativeLegalizePass final : public Pass {
   }
 };
 
+/// The UCRy equal to a CRy, MCRy or UCRy (one-hot pattern-angle table);
+/// throws std::invalid_argument naming `caller` for any other kind.
+Gate embed_ucry(const Gate& gate, const char* caller) {
+  if (gate.kind() == GateKind::kUCRy) return gate;
+  if (gate.kind() != GateKind::kMCRy && gate.kind() != GateKind::kCRy) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": not a CRy, MCRy or UCRy: " +
+                                gate.to_string());
+  }
+  std::vector<int> controls;
+  std::uint32_t pattern = 0;
+  for (std::size_t i = 0; i < gate.controls().size(); ++i) {
+    controls.push_back(gate.controls()[i].qubit);
+    if (gate.controls()[i].positive) pattern |= std::uint32_t{1} << i;
+  }
+  std::vector<double> angles(std::size_t{1} << controls.size(), 0.0);
+  angles[pattern] = gate.theta();
+  return Gate::ucry(std::move(controls), gate.target(), std::move(angles));
+}
+
 }  // namespace
 
 const std::vector<const Pass*>& lowering_pass_sequence() {
@@ -294,24 +310,11 @@ const std::vector<const Pass*>& lowering_pass_sequence() {
   return passes;
 }
 
-Gate mcry_to_ucry(const Gate& gate) {
-  if (gate.kind() == GateKind::kUCRy) return gate;
-  QSP_ASSERT(gate.kind() == GateKind::kMCRy ||
-             gate.kind() == GateKind::kCRy);
-  std::vector<int> controls;
-  std::uint32_t pattern = 0;
-  for (std::size_t i = 0; i < gate.controls().size(); ++i) {
-    controls.push_back(gate.controls()[i].qubit);
-    if (gate.controls()[i].positive) pattern |= std::uint32_t{1} << i;
-  }
-  std::vector<double> angles(std::size_t{1} << controls.size(), 0.0);
-  angles[pattern] = gate.theta();
-  return Gate::ucry(std::move(controls), gate.target(), std::move(angles));
-}
+Gate mcry_to_ucry(const Gate& gate) { return embed_ucry(gate, "mcry_to_ucry"); }
 
 Gate reorder_ucry_controls(const Gate& gate,
                            const std::vector<int>& new_order) {
-  const Gate u = mcry_to_ucry(gate);
+  const Gate u = embed_ucry(gate, "reorder_ucry_controls");
   const std::size_t c = u.controls().size();
   if (new_order.size() != c) {
     throw std::invalid_argument("reorder_ucry_controls: order size");
@@ -344,7 +347,11 @@ Gate reorder_ucry_controls(const Gate& gate,
 
 std::vector<double> ucry_multiplexor_angles(const std::vector<double>& a) {
   const std::size_t slots = a.size();
-  QSP_ASSERT(slots > 0 && (slots & (slots - 1)) == 0);
+  if (slots == 0 || (slots & (slots - 1)) != 0) {
+    throw std::invalid_argument(
+        "ucry_multiplexor_angles: table size must be a power of two, not " +
+        std::to_string(slots));
+  }
   std::vector<double> phi(slots, 0.0);
   for (std::uint32_t j = 0; j < slots; ++j) {
     const std::uint32_t g = gray_code(j);

@@ -64,18 +64,22 @@ std::int64_t count_two_qubit_after_lowering(
 
 /// The multiplexor rotation angles phi such that the gray-code circuit with
 /// rotations phi[j] realizes pattern angles a[s]; exposed for testing.
-/// phi[j] = 2^-c * sum_s (-1)^{popcount(s & gray(j)) mod 2} a[s].
+/// phi[j] = 2^-c * sum_s (-1)^{popcount(s & gray(j)) mod 2} a[s]. Throws
+/// std::invalid_argument unless a.size() is a power of two.
 std::vector<double> ucry_multiplexor_angles(const std::vector<double>& a);
 
-/// Embed an MCRy into the equivalent UCRy (one-hot pattern angle table);
-/// UCRy gates pass through unchanged.
+/// Embed a CRy or MCRy into the equivalent UCRy (one-hot pattern angle
+/// table); UCRy gates pass through unchanged, and any other kind throws
+/// std::invalid_argument.
 Gate mcry_to_ucry(const Gate& gate);
 
 /// Equivalent UCRy whose control wires are listed in `new_order` (a
 /// permutation of the gate's control qubits), with the pattern-angle table
 /// re-indexed to match. The gray-code lowering uses control bit b for
 /// 2^(c-1-b) CNOTs, so callers can put cheap (e.g. coupling-near) wires
-/// first. Accepts MCRy (embedded first) or UCRy.
+/// first. Accepts CRy or MCRy (embedded first) or UCRy; any other kind, or
+/// an order that does not permute the controls, throws
+/// std::invalid_argument.
 Gate reorder_ucry_controls(const Gate& gate,
                            const std::vector<int>& new_order);
 

@@ -17,26 +17,6 @@
 namespace qsp {
 namespace {
 
-bool is_trivial_rotation(const Gate& g) {
-  switch (g.kind()) {
-    case GateKind::kRy:
-    case GateKind::kCRy:
-    case GateKind::kMCRy:
-    case GateKind::kRz:
-    case GateKind::kRZZ:
-      return std::abs(g.theta()) <= kIdentityAngleEpsilon;
-    case GateKind::kUCRy:
-    case GateKind::kUCRz: {
-      for (const double a : g.angles()) {
-        if (std::abs(a) > kIdentityAngleEpsilon) return false;
-      }
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
 bool is_rotation_kind(GateKind kind) {
   switch (kind) {
     case GateKind::kRy:
@@ -118,7 +98,7 @@ class DeadRotationPass final : public Pass {
     bool changed = false;
     Circuit out(circuit.num_qubits());
     for (const Gate& g : circuit.gates()) {
-      if (is_trivial_rotation(g)) {
+      if (is_identity_rotation(g)) {
         changed = true;
         continue;
       }
@@ -170,8 +150,7 @@ class AdjacentFusePass final : public Pass {
           slots[static_cast<std::size_t>(prev)].has_value()) {
         const Gate& p = *slots[static_cast<std::size_t>(prev)];
         if (same_kind_and_wires(p, g)) {
-          if (g.kind() == GateKind::kX || g.kind() == GateKind::kCNOT ||
-              g.kind() == GateKind::kCZ) {
+          if (is_self_inverse(g.kind())) {
             erase(prev);
             erase(i);
             continue;
@@ -180,7 +159,7 @@ class AdjacentFusePass final : public Pass {
             const Gate fused = fuse_rotations(p, g);
             erase(prev);
             erase(i);
-            if (!is_trivial_rotation(fused)) {
+            if (!is_identity_rotation(fused)) {
               slots[static_cast<std::size_t>(i)] = fused;
             } else {
               continue;
@@ -217,10 +196,7 @@ class CnotCommuteFoldPass final : public Pass {
     for (int i = 0; i < static_cast<int>(slots.size()); ++i) {
       if (!slots[static_cast<std::size_t>(i)].has_value()) continue;
       const Gate& g = *slots[static_cast<std::size_t>(i)];
-      if (g.kind() != GateKind::kX && g.kind() != GateKind::kCNOT &&
-          g.kind() != GateKind::kCZ) {
-        continue;
-      }
+      if (!is_self_inverse(g.kind())) continue;
       int window = 0;
       for (int j = i - 1; j >= 0; --j) {
         if (!slots[static_cast<std::size_t>(j)].has_value()) continue;
@@ -270,7 +246,7 @@ class RotationCommuteMergePass final : public Pass {
           // and fuse in place.
           const Gate fused = fuse_rotations(p, g);
           slots[static_cast<std::size_t>(i)].reset();
-          if (is_trivial_rotation(fused)) {
+          if (is_identity_rotation(fused)) {
             slots[static_cast<std::size_t>(j)].reset();
           } else {
             slots[static_cast<std::size_t>(j)] = fused;

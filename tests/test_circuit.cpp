@@ -86,14 +86,6 @@ TEST(Circuit, DepthCountsControlWires) {
   EXPECT_EQ(c.depth(), 2u);
 }
 
-TEST(Circuit, GateCounts) {
-  const Circuit c = small_circuit();
-  const auto counts = c.gate_counts();
-  EXPECT_EQ(counts.at(GateKind::kRy), 1u);
-  EXPECT_EQ(counts.at(GateKind::kCNOT), 1u);
-  EXPECT_EQ(counts.at(GateKind::kCRy), 1u);
-}
-
 TEST(Circuit, ToStringListsGates) {
   const std::string s = small_circuit().to_string();
   EXPECT_NE(s.find("Ry(q0"), std::string::npos);

@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "arch/routing.hpp"
+#include "circuit/cost_model.hpp"
 #include "circuit/lowering.hpp"
 #include "core/astar.hpp"
 #include "core/exact_synthesizer.hpp"
@@ -450,6 +453,47 @@ TEST(Routing, RespectsCouplingRequiresNativeGates) {
   Circuit off_edge(3);
   off_edge.append(Gate::cnot(0, 2));
   EXPECT_FALSE(respects_coupling(off_edge, line));
+}
+
+// Bad arguments to the public circuit and arch calls throw
+// std::invalid_argument naming the call; none of them aborts the process.
+TEST(Routing, BadArgumentsThrowNamingTheCall) {
+  const CouplingGraph line = CouplingGraph::line(3);
+  Circuit out(3);
+  const std::vector<std::pair<std::string, std::function<void()>>> calls = {
+      {"mcry_to_ucry", [] { mcry_to_ucry(Gate::x(0)); }},
+      {"reorder_ucry_controls",
+       [] { reorder_ucry_controls(Gate::cnot(0, 1), {0}); }},
+      {"ucry_multiplexor_angles", [] { ucry_multiplexor_angles({1, 2, 3}); }},
+      {"ucry_multiplexor_angles", [] { ucry_multiplexor_angles({}); }},
+      {"emit_routed_cnot", [&out] { emit_routed_cnot(out, {0}, true); }},
+      {"rotation_cost", [] { rotation_cost(-1); }},
+      {"rotation_cost", [] { rotation_cost(63); }},
+      {"CouplingGraph::distance", [&line] { line.distance(0, 7); }},
+      {"CouplingGraph::distance", [&line] { line.distance(-1, 0); }},
+      {"CouplingGraph::routed_cnot_cost",
+       [&line] { line.routed_cnot_cost(0, 7); }},
+      {"CouplingGraph::routed_cnot_cost",
+       [&line] { line.routed_cnot_cost(1, 1); }},
+  };
+  for (const auto& [name, call] : calls) {
+    try {
+      call();
+      ADD_FAILURE() << name << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+  // No edge reaches a wire the device lacks, so a circuit wider than the
+  // device does not conform.
+  EXPECT_FALSE(line.has_edge(3, 4));
+  EXPECT_FALSE(line.has_edge(-1, 0));
+  Circuit wide(5);
+  wide.append(Gate::cnot(0, 1));
+  wide.append(Gate::cnot(3, 4));
+  EXPECT_FALSE(respects_coupling(wide, line));
+  EXPECT_FALSE(respects_coupling(wide, line, Target::cnot()));
 }
 
 TEST(Routing, RandomCircuitsConformAndVerifyOnEveryTopology) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "circuit/cost_model.hpp"
 #include "circuit/dataflow.hpp"
@@ -77,10 +79,72 @@ TEST(Gate, Remapped) {
       {ControlLiteral{0, true}, ControlLiteral{1, false}}, 2, 0.9);
   const Gate r = g.remapped({5, 3, 1});
   EXPECT_EQ(r.target(), 1);
-  // Control order is preserved; only the qubit ids change.
-  EXPECT_EQ(r.controls()[0], (ControlLiteral{5, true}));
-  EXPECT_EQ(r.controls()[1], (ControlLiteral{3, false}));
+  // The factory's rule holds: controls come back sorted by wire.
+  EXPECT_EQ(r.controls()[0], (ControlLiteral{3, false}));
+  EXPECT_EQ(r.controls()[1], (ControlLiteral{5, true}));
   EXPECT_THROW(g.remapped({0, 1}), std::invalid_argument);
+}
+
+/// One gate of `kind` on wires m[0..3], built by its factory: target m[3],
+/// controls drawn from m[0..2].
+Gate gate_on_wires(GateKind kind, const std::vector<int>& m) {
+  const std::vector<double> table = {0.1, -0.2, 0.3, 0.4};
+  switch (kind) {
+    case GateKind::kX:
+      return Gate::x(m[3]);
+    case GateKind::kRy:
+      return Gate::ry(m[3], 0.5);
+    case GateKind::kCNOT:
+      return Gate::cnot(m[0], m[3], /*positive=*/false);
+    case GateKind::kCRy:
+      return Gate::cry(m[1], m[3], 0.5);
+    case GateKind::kMCRy:
+      return Gate::mcry({{m[2], true}, {m[0], false}, {m[1], true}}, m[3],
+                        0.5);
+    case GateKind::kUCRy:
+      return Gate::ucry({m[2], m[0]}, m[3], table);
+    case GateKind::kRz:
+      return Gate::rz(m[3], 0.5);
+    case GateKind::kUCRz:
+      return Gate::ucrz({m[0], m[1]}, m[3], table);
+    case GateKind::kCZ:
+      return Gate::cz(m[3], m[0]);
+    case GateKind::kISwap:
+      return Gate::iswap(m[1], m[3]);
+    case GateKind::kRZZ:
+      return Gate::rzz(m[3], m[2], 0.5);
+  }
+  throw std::logic_error("gate_on_wires: unknown kind");
+}
+
+// remapped() is the factory applied to the mapped fields: for every kind
+// and every injective map the result equals the gate the factory builds
+// on the mapped wires, in the factory's canonical form (symmetric pairs
+// lower wire first, MCRy controls sorted, UCRy table order kept).
+TEST(Gate, RemappedKeepsTheFactoryRules) {
+  const std::vector<int> identity = {0, 1, 2, 3};
+  const std::vector<std::vector<int>> maps = {
+      {0, 1, 2, 3}, {3, 2, 1, 0}, {5, 1, 7, 0}, {2, 0, 3, 1}, {9, 8, 6, 4}};
+  for (int k = 0; k <= static_cast<int>(GateKind::kRZZ); ++k) {
+    const auto kind = static_cast<GateKind>(k);
+    const Gate g = gate_on_wires(kind, identity);
+    for (const std::vector<int>& map : maps) {
+      EXPECT_EQ(g.remapped(map), gate_on_wires(kind, map))
+          << g.to_string() << " -> " << g.remapped(map).to_string();
+    }
+    // A negative entry, or two wires sent to one, throws.
+    EXPECT_THROW(g.remapped({0, 1, 2, -1}), std::invalid_argument)
+        << g.to_string();
+    if (g.qubits().size() > 1) {
+      EXPECT_THROW(g.remapped({4, 4, 4, 4}), std::invalid_argument)
+          << g.to_string();
+    }
+  }
+  // Only the wires change: the unused theta that adjoint() negates to
+  // -0.0 keeps its sign bit, so remapped outputs hash as they did.
+  EXPECT_TRUE(std::signbit(Gate::x(0).adjoint().remapped({2}).theta()));
+  EXPECT_TRUE(
+      std::signbit(Gate::cnot(0, 1).adjoint().remapped({1, 0}).theta()));
 }
 
 TEST(Gate, QubitsAndMaxQubit) {
@@ -138,6 +202,9 @@ TEST(Gate, IdentityAngleEpsilonAgreesAcrossConsumers) {
       EXPECT_EQ(report.diagnostics.front().rule,
                 LintRule::kDegenerateRotation);
     }
+
+    EXPECT_EQ(is_identity_rotation(circuit.gates().front()), identity)
+        << ctx;
 
     DataflowEngine engine(1);
     engine.apply(circuit.gates().front(), 0);

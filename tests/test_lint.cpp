@@ -1,5 +1,6 @@
 // Unit and property tests for the static circuit linter (circuit/lint.hpp):
-// one positive and one negative case per rule QL000..QL010, the
+// one positive and one negative case per rule QL000 and QL004..QL010 (and
+// for the retired QL001..QL003, the factory checks that replaced them), the
 // pass-contract gate the pipeline runs in release builds, and the
 // whole-program properties the linter is meant to enforce — workflow and
 // service outputs over the seeded random corpora lint clean, and the QASM
@@ -66,9 +67,11 @@ LintOptions gate_style_options() {
 TEST(Lint, RuleCatalogCodesNamesSeverities) {
   EXPECT_EQ(lint_rule_code(LintRule::kParseError), "QL000");
   EXPECT_EQ(lint_rule_code(LintRule::kUnsupportedGate), "QL010");
-  EXPECT_EQ(lint_rule_name(LintRule::kNoncanonicalSymmetric),
-            "canonical-wire-order");
-  EXPECT_EQ(lint_rule_severity(LintRule::kWireBounds), LintSeverity::kError);
+  EXPECT_EQ(lint_rule_code(LintRule::kNonNativeGate), "QL004");
+  EXPECT_EQ(lint_rule_name(LintRule::kCouplingViolation),
+            "coupling-violation");
+  EXPECT_EQ(lint_rule_severity(LintRule::kMalformedAngles),
+            LintSeverity::kError);
   EXPECT_EQ(lint_rule_severity(LintRule::kDegenerateRotation),
             LintSeverity::kWarning);
   EXPECT_EQ(lint_rule_severity(LintRule::kIdentityPair),
@@ -116,71 +119,50 @@ TEST(Lint, QasmWellFormedTextLintsClean) {
 }
 
 // ---------------------------------------------------------------------------
-// QL001 wire-bounds. The Gate factories reject out-of-range wires at
-// construction, so the raw-gate seam is the only way this state exists.
+// QL001-QL003 are retired: the Gate factories and Circuit::append own wire
+// bounds, distinct controls and the symmetric wire order, so no Circuit
+// can break them. Outside input meets those checks at the QASM front door,
+// which reports their throw as QL000.
+
+void expect_parse_error_only(const std::string& qasm) {
+  const LintReport report = lint_qasm(qasm);
+  ASSERT_EQ(report.diagnostics.size(), 1u) << rules_fired(report);
+  EXPECT_EQ(report.diagnostics[0].rule, LintRule::kParseError);
+}
 
 TEST(Lint, WireBoundsRejectsOutOfRangeTarget) {
-  RawGate raw;
-  raw.kind = GateKind::kX;
-  raw.target = 3;
-  LintReport report;
-  lint_raw_gate(raw, 0, 3, {}, report);
-  EXPECT_TRUE(has_rule(report, LintRule::kWireBounds)) << rules_fired(report);
+  EXPECT_THROW(Gate::x(-1), std::invalid_argument);
+  Circuit circuit(3);
+  EXPECT_THROW(circuit.append(Gate::x(3)), std::invalid_argument);
+  EXPECT_THROW(Gate::x(0).remapped({-1}), std::invalid_argument);
+  expect_parse_error_only("qreg q[2];\nx q[5];\n");
 }
 
 TEST(Lint, WireBoundsAcceptsInRangeGate) {
-  const RawGate raw = RawGate::from(Gate::cnot(0, 2));
-  LintReport report;
-  lint_raw_gate(raw, 0, 3, {}, report);
-  EXPECT_FALSE(has_rule(report, LintRule::kWireBounds)) << rules_fired(report);
+  Circuit circuit(3);
+  circuit.append(Gate::cnot(0, 2));
+  const LintReport report = lint_circuit(circuit);
+  EXPECT_TRUE(report.diagnostics.empty()) << rules_fired(report);
 }
 
-// ---------------------------------------------------------------------------
-// QL002 overlapping-controls.
-
 TEST(Lint, OverlappingControlsRejectsControlOnTarget) {
-  RawGate raw;
-  raw.kind = GateKind::kCNOT;
-  raw.target = 1;
-  raw.controls = {{1, true}};
-  LintReport report;
-  lint_raw_gate(raw, 0, 3, {}, report);
-  EXPECT_TRUE(has_rule(report, LintRule::kOverlappingControls))
-      << rules_fired(report);
+  EXPECT_THROW(Gate::cnot(1, 1), std::invalid_argument);
+  EXPECT_THROW(Gate::cnot(0, 1).remapped({1, 1}), std::invalid_argument);
+  expect_parse_error_only("qreg q[2];\ncx q[1],q[1];\n");
 }
 
 TEST(Lint, OverlappingControlsRejectsDuplicateControl) {
-  RawGate raw;
-  raw.kind = GateKind::kMCRy;
-  raw.target = 2;
-  raw.theta = 0.4;
-  raw.controls = {{0, true}, {0, false}};
-  LintReport report;
-  lint_raw_gate(raw, 0, 4, {}, report);
-  EXPECT_TRUE(has_rule(report, LintRule::kOverlappingControls))
-      << rules_fired(report);
+  EXPECT_THROW(Gate::mcry({{0, true}, {0, false}}, 2, 0.4),
+               std::invalid_argument);
+  const Gate g = Gate::mcry({{0, true}, {1, false}}, 2, 0.4);
+  EXPECT_THROW(g.remapped({0, 0, 2}), std::invalid_argument);
 }
 
 TEST(Lint, DistinctControlsLintClean) {
-  const RawGate raw =
-      RawGate::from(Gate::mcry({{0, true}, {1, false}}, 2, 0.4));
-  LintReport report;
-  lint_raw_gate(raw, 0, 4, {}, report);
-  EXPECT_FALSE(report.has_errors()) << rules_fired(report);
-}
-
-// ---------------------------------------------------------------------------
-// QL003 canonical-wire-order. Gate::remapped re-validates but does not
-// re-canonicalize symmetric gates, so a permutation that swaps the stored
-// wire pair leaves the gate in the non-canonical order the adjacency
-// peepholes would miss.
-
-TEST(Lint, NoncanonicalSymmetricGateIsFlagged) {
-  Circuit circuit(2);
-  circuit.append(Gate::cz(0, 1).remapped({1, 0}));
+  Circuit circuit(4);
+  circuit.append(Gate::mcry({{0, true}, {1, false}}, 2, 0.4));
   const LintReport report = lint_circuit(circuit);
-  EXPECT_TRUE(has_rule(report, LintRule::kNoncanonicalSymmetric))
-      << rules_fired(report);
+  EXPECT_FALSE(report.has_errors()) << rules_fired(report);
 }
 
 TEST(Lint, CanonicalSymmetricGateLintsClean) {
@@ -227,6 +209,21 @@ TEST(Lint, CouplingViolationOffDeviceEdgeIsFlagged) {
   const LintReport report = lint_circuit(circuit, options);
   EXPECT_TRUE(has_rule(report, LintRule::kCouplingViolation))
       << rules_fired(report);
+}
+
+TEST(Lint, CouplingViolationOffDeviceWireIsFlagged) {
+  // The register is wider than the device: a native gate on wires the
+  // device lacks sits on no edge.
+  Circuit circuit(5);
+  circuit.append(Gate::cnot(3, 4));
+  circuit.append(Gate::cz(1, 4));
+  LintOptions options;
+  options.coupling = std::make_shared<CouplingGraph>(CouplingGraph::line(3));
+  const LintReport report = lint_circuit(circuit, options);
+  ASSERT_EQ(report.diagnostics.size(), 2u) << rules_fired(report);
+  for (const LintDiagnostic& d : report.diagnostics) {
+    EXPECT_EQ(d.rule, LintRule::kCouplingViolation) << rules_fired(report);
+  }
 }
 
 TEST(Lint, CouplingCheckAcceptsEdgesAndSkipsComposites) {
@@ -327,7 +324,8 @@ TEST(Lint, PassContractCatchesIntroducedKind) {
   Circuit after = before;
   const KindIntroducingPass pass;
   pass.run(after, {});
-  const LintReport report = lint_pass_application(pass, before, after);
+  const LintReport report =
+      lint_pass_application(pass, circuit_facts(before, nullptr), after);
   EXPECT_TRUE(has_rule(report, LintRule::kPassContract))
       << rules_fired(report);
 }
@@ -340,7 +338,8 @@ TEST(Lint, PassContractCatchesCouplingBreak) {
   pass.run(after, {});
   LintOptions options;
   options.coupling = std::make_shared<CouplingGraph>(CouplingGraph::line(3));
-  const LintReport report = lint_pass_application(pass, before, after, options);
+  const LintReport report = lint_pass_application(
+      pass, circuit_facts(before, options.coupling.get()), after, options);
   EXPECT_TRUE(has_rule(report, LintRule::kPassContract))
       << rules_fired(report);
 }
@@ -356,42 +355,39 @@ TEST(Lint, PassContractAcceptsHonestShrink) {
   // drops gates without new kinds satisfies the contract.
   ASSERT_FALSE(PassPipeline::registry().empty());
   const Pass& pass = *PassPipeline::registry().front();
-  const LintReport report = lint_pass_application(pass, before, after);
+  const LintReport report =
+      lint_pass_application(pass, circuit_facts(before, nullptr), after);
   EXPECT_FALSE(has_rule(report, LintRule::kPassContract))
       << rules_fired(report);
 }
 
 // ---------------------------------------------------------------------------
-// QL009 malformed-angles.
+// QL009 malformed-angles: non-finite angles. The factories accept them and
+// the QASM parser reads "nan", so this rule still sees outside input. (A
+// multiplexor table of the wrong size is the ucry factory's to reject.)
 
 TEST(Lint, NonFiniteAngleIsFlagged) {
-  RawGate raw;
-  raw.kind = GateKind::kRy;
-  raw.target = 0;
-  raw.theta = std::numeric_limits<double>::quiet_NaN();
-  LintReport report;
-  lint_raw_gate(raw, 0, 1, {}, report);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Circuit circuit(3);
+  circuit.append(Gate::ry(0, nan));
+  circuit.append(
+      Gate::ucry({0, 1}, 2, {0.1, std::numeric_limits<double>::infinity(),
+                             0.3, 0.4}));
+  const LintReport report = lint_circuit(circuit);
+  ASSERT_EQ(report.count(LintSeverity::kError), 2u) << rules_fired(report);
   EXPECT_TRUE(has_rule(report, LintRule::kMalformedAngles))
       << rules_fired(report);
-}
 
-TEST(Lint, WrongMultiplexorTableSizeIsFlagged) {
-  RawGate raw;
-  raw.kind = GateKind::kUCRy;
-  raw.target = 2;
-  raw.controls = {{0, true}, {1, true}};
-  raw.angles = {0.1, 0.2, 0.3};  // needs 2^2 = 4 entries
-  LintReport report;
-  lint_raw_gate(raw, 0, 3, {}, report);
-  EXPECT_TRUE(has_rule(report, LintRule::kMalformedAngles))
-      << rules_fired(report);
+  const LintReport parsed = lint_qasm("qreg q[1];\nry(nan) q[0];\n");
+  ASSERT_EQ(parsed.diagnostics.size(), 1u) << rules_fired(parsed);
+  EXPECT_EQ(parsed.diagnostics[0].rule, LintRule::kMalformedAngles);
 }
 
 TEST(Lint, FiniteAnglesAndFullTableLintClean) {
-  LintReport report;
-  lint_raw_gate(RawGate::from(Gate::ry(0, 0.7)), 0, 1, {}, report);
-  lint_raw_gate(RawGate::from(Gate::ucry({0, 1}, 2, {0.1, 0.2, 0.3, 0.4})), 1,
-                3, {}, report);
+  Circuit circuit(3);
+  circuit.append(Gate::ry(0, 0.7));
+  circuit.append(Gate::ucry({0, 1}, 2, {0.1, 0.2, 0.3, 0.4}));
+  const LintReport report = lint_circuit(circuit);
   EXPECT_FALSE(report.has_errors()) << rules_fired(report);
 }
 

@@ -226,6 +226,37 @@ TEST(Peephole, XPairFoldsAcrossDisjointGates) {
   EXPECT_NEAR(preparation_overlap(c, out), 1.0, 1e-9);
 }
 
+// A relabelled gate is in its factory's canonical form, so the adjacency
+// sweep matches it against a gate built directly on the same wires.
+
+TEST(Peephole, AdjacentFuseCancelsRemappedSymmetricPair) {
+  Circuit c(2);
+  c.append(Gate::ry(0, 0.4));
+  c.append(Gate::cz(0, 1));
+  c.append(Gate::cz(0, 1).remapped({1, 0}));
+  Circuit out = c;
+  EXPECT_TRUE(PassPipeline::find("adjacent-fuse")->run(out, PassOptions{}));
+  EXPECT_EQ(out.size(), 1u) << out.to_string();
+  EXPECT_NEAR(preparation_overlap(c, out), 1.0, 1e-9);
+}
+
+TEST(Peephole, AdjacentFuseCancelsMcryAgainstRemappedAdjoint) {
+  // The mirror image of g's adjoint, relabelled by the map that swaps
+  // wires 0 and 1, lists the controls in the reverse order of g's; the
+  // factory sorts them, so the pair fuses to the identity.
+  Circuit c(3);
+  c.append(Gate::ry(0, 1.1));
+  c.append(Gate::ry(1, 0.7));
+  const Gate g = Gate::mcry({{0, true}, {1, false}}, 2, 0.9);
+  const Gate mirrored_adjoint = Gate::mcry({{0, false}, {1, true}}, 2, -0.9);
+  c.append(g);
+  c.append(mirrored_adjoint.remapped({1, 0, 2}));
+  Circuit out = c;
+  EXPECT_TRUE(PassPipeline::find("adjacent-fuse")->run(out, PassOptions{}));
+  EXPECT_EQ(out.size(), 2u) << out.to_string();
+  EXPECT_NEAR(preparation_overlap(c, out), 1.0, 1e-9);
+}
+
 TEST(Peephole, CommuteWindowBoundsTheBackwardWalk) {
   // A tight window stops the walk before the matching CNOT is reached.
   Circuit c(3);

@@ -16,10 +16,14 @@ Two classes of checks:
     just speed, and the tool exits nonzero.
 
   * Timing fields (`seconds_per_iter`, `seconds`) are reported as
-    deltas. Under --strict — meant for same-machine A/B runs (e.g. CI
-    comparing QSP_SIMD=scalar vs avx2 runs of the same build) — a
-    `seconds_per_iter` slower than baseline by more than --tolerance
-    (default 25%) fails; one-shot `seconds` rows stay report-only (a
+    deltas. Under --strict — meant for same-machine A/B runs (CI compares
+    the scalar and AVX2 files of one `micro_core --ab` run, which times
+    both ISAs in the same rounds) — a `seconds_per_iter` row fails when
+    its slowdown exceeds --tolerance (default 25%) AND each side's own
+    `spread`, the (second slowest - second fastest) / median of the
+    row's timing windows: a slowdown inside the noise either run
+    measured is not evidence of a regression. Rows without a `spread`
+    field count it as 0. One-shot `seconds` rows stay report-only (a
     single search wall clock is too noisy to gate on). Cross-machine
     runs against the committed baseline should omit --strict — absolute
     timings are not comparable across hosts.
@@ -126,14 +130,18 @@ def main():
                 continue
             delta = (ct - bt) / bt
             marker = " "
-            if (args.strict and field in STRICT_TIMING_FIELDS
-                    and delta > args.tolerance):
-                failures.append(
-                    f"{fmt_key(key)}: {field} regressed "
-                    f"{delta * 100:+.1f}% ({bt:.3g}s -> {ct:.3g}s)")
-                marker = "!"
+            gated = ""
+            if args.strict and field in STRICT_TIMING_FIELDS:
+                noise = max(b.get("spread", 0.0), c.get("spread", 0.0))
+                gated = f", spread {noise * 100:.1f}%"
+                if delta > args.tolerance and delta > noise:
+                    failures.append(
+                        f"{fmt_key(key)}: {field} regressed "
+                        f"{delta * 100:+.1f}% ({bt:.3g}s -> {ct:.3g}s, "
+                        f"spread {noise * 100:.1f}%)")
+                    marker = "!"
             print(f"  [{marker}] {fmt_key(key):40s} {field} "
-                  f"{bt:.3g} -> {ct:.3g} ({delta * 100:+.1f}%)")
+                  f"{bt:.3g} -> {ct:.3g} ({delta * 100:+.1f}%{gated})")
 
     if failures:
         print(f"\n{len(failures)} failure(s):", file=sys.stderr)
