@@ -1,7 +1,8 @@
 // Microbenchmarks for the exact-synthesis primitives: canonical keys,
 // move enumeration, arc application, heuristics, the A* kernel at 1, 2
 // and 8 threads on the paper's headline instance, statevector
-// simulation, and Solver::prepare end to end on a fixed corpus.
+// simulation, m-flow cardinality reduction, and Solver::prepare end to
+// end on a fixed corpus.
 //
 // A hand-timed kernel sweep emits one canonical-schema json_row per
 // kernel cell — this is what bench/baseline/micro_core.jsonl and
@@ -33,6 +34,7 @@
 #include "core/heuristic.hpp"
 #include "core/moves.hpp"
 #include "flow/solver.hpp"
+#include "prep/mflow.hpp"
 #include "prep/nflow.hpp"
 #include "sim/statevector.hpp"
 #include "state/state_factory.hpp"
@@ -227,6 +229,44 @@ void add_heuristic_rows(std::vector<KernelRow>& rows) {
   }
 }
 
+/// Every gate's kind, wires and angle bits.
+std::uint64_t checksum_gates(const std::vector<Gate>& gates,
+                             std::uint64_t h) {
+  for (const Gate& g : gates) {
+    const int fields[] = {static_cast<int>(g.kind()), g.target()};
+    h = checksum_bytes(fields, sizeof fields, h);
+    for (const ControlLiteral& c : g.controls()) {
+      const int literal[] = {c.qubit, c.positive ? 1 : 0};
+      h = checksum_bytes(literal, sizeof literal, h);
+    }
+    const double theta = g.theta();
+    h = checksum_bytes(&theta, sizeof theta, h);
+    h = checksum_bytes(g.angles().data(), g.angles().size() * sizeof(double),
+                       h);
+  }
+  return h;
+}
+
+/// Cost-aware m-flow reduction of a random uniform state down to the
+/// exact tail's default cardinality (16), the blocking step of a sparse
+/// request, at two of the sparse workload's shapes (m = 3n and m = 4n).
+void add_mflow_rows(std::vector<KernelRow>& rows) {
+  MFlowOptions options;
+  options.strategy = MFlowOptions::PairStrategy::kCheapest;
+  const auto stop = [](const QuantumState& s) { return s.cardinality() <= 16; };
+  for (const auto& [n, m] : {std::pair{14, 42}, std::pair{20, 80}}) {
+    Rng rng(5);
+    const QuantumState target = make_random_uniform(n, m, rng);
+    rows.push_back(
+        {"mflow_reduce", n,
+         checksum_gates(mflow_reduce(target, stop, options).forward_gates,
+                        checksum_bytes(nullptr, 0)),
+         [target, options, stop, gates = std::size_t{0}]() mutable {
+           gates += mflow_reduce(target, stop, options).forward_gates.size();
+         }});
+  }
+}
+
 void add_compress_free_row(std::vector<KernelRow>& rows) {
   std::vector<BasisIndex> idx;
   for (BasisIndex x = 0; x < 16; ++x) idx.push_back(x);
@@ -358,18 +398,7 @@ void emit_solver_row(std::ostream& out) {
   const Timer timer;
   for (const QuantumState& state : corpus) {
     const Circuit circuit = solver.prepare(state).circuit;
-    for (const Gate& g : circuit.gates()) {
-      const int fields[] = {static_cast<int>(g.kind()), g.target()};
-      ck = checksum_bytes(fields, sizeof fields, ck);
-      for (const ControlLiteral& c : g.controls()) {
-        const int literal[] = {c.qubit, c.positive ? 1 : 0};
-        ck = checksum_bytes(literal, sizeof literal, ck);
-      }
-      const double theta = g.theta();
-      ck = checksum_bytes(&theta, sizeof theta, ck);
-      ck = checksum_bytes(g.angles().data(),
-                          g.angles().size() * sizeof(double), ck);
-    }
+    ck = checksum_gates(circuit.gates(), ck);
     const std::int64_t cnots = count_cnots_after_lowering(circuit);
     ck = checksum_bytes(&cnots, sizeof cnots, ck);
   }
@@ -387,6 +416,7 @@ std::vector<KernelRow> kernel_rows() {
   add_move_rows(rows);
   add_heuristic_rows(rows);
   add_compress_free_row(rows);
+  add_mflow_rows(rows);
   add_statevector_rows(rows);
   return rows;
 }

@@ -54,25 +54,43 @@ std::optional<SlotState> SlotState::from_state(const QuantumState& state,
   for (const Term& t : terms) {
     if (t.amplitude < 0) return std::nullopt;
   }
-  const auto m0 = static_cast<std::uint32_t>(state.cardinality());
-  for (std::uint64_t m = m0; m <= max_total; ++m) {
-    std::vector<SlotEntry> entries;
-    entries.reserve(terms.size());
-    bool ok = true;
+  const auto m0 = static_cast<std::uint64_t>(state.cardinality());
+  if (m0 > max_total) return std::nullopt;
+  std::vector<SlotEntry> entries;
+  entries.reserve(terms.size());
+  // Total m passes when every amplitude^2 * m is within 1e-6 of a positive
+  // integer count and the counts sum to m.
+  const auto passes = [&](std::uint64_t m) {
+    entries.clear();
     std::uint64_t used = 0;
     for (const Term& t : terms) {
       const double exact = t.amplitude * t.amplitude * static_cast<double>(m);
       const auto count = static_cast<std::uint64_t>(std::llround(exact));
       if (count < 1 || std::abs(exact - static_cast<double>(count)) > 1e-6) {
-        ok = false;
-        break;
+        return false;
       }
       used += count;
       entries.push_back(SlotEntry{t.index, static_cast<std::uint32_t>(count)});
     }
-    if (ok && used == m) {
-      return SlotState(state.num_qubits(), std::move(entries));
+    return used == m;
+  };
+  // A passing m gives the smallest squared amplitude s a count c >= 1, so
+  // m lies within 1e-6 / s of c / s: walk c and test only the totals in
+  // each window (widened by one for rounding), in ascending order.
+  double s = terms.front().amplitude * terms.front().amplitude;
+  for (const Term& t : terms) s = std::min(s, t.amplitude * t.amplitude);
+  const double limit = static_cast<double>(max_total) + 2.0;
+  std::uint64_t next = m0;  // the smallest total not yet tested
+  for (double c = 1.0; (c - 1e-6) / s <= limit; c += 1.0) {
+    const auto lo = static_cast<std::uint64_t>(
+        std::max(std::floor((c - 1e-6) / s) - 1.0, 0.0));
+    const auto hi = static_cast<std::uint64_t>(
+        std::min(std::ceil((c + 1e-6) / s) + 1.0, limit));
+    for (std::uint64_t m = std::max(lo, next);
+         m <= std::min<std::uint64_t>(hi, max_total); ++m) {
+      if (passes(m)) return SlotState(state.num_qubits(), std::move(entries));
     }
+    next = std::max(next, hi + 1);
   }
   return std::nullopt;
 }

@@ -236,11 +236,13 @@ WorkflowResult Solver::prepare(const QuantumState& target) const {
   result.sparse_path =
       static_cast<std::uint64_t>(n) * m < (std::uint64_t{1} << n);
 
+  // A slot decomposition keeps one entry per term, so the cardinality
+  // test comes first and spares the decomposition.
   auto fits_thresholds = [this](const QuantumState& state) {
+    if (state.cardinality() > options_.exact_max_cardinality) return false;
     const QuantumState normalized = normalize_global_sign(state);
     const auto slot = SlotState::from_state(normalized);
     if (!slot.has_value()) return false;
-    if (slot->cardinality() > options_.exact_max_cardinality) return false;
     const SlotState compressed = compress_free(*slot);
     int active = 0;
     for (int q = 0; q < compressed.num_qubits(); ++q) {

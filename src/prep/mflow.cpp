@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "circuit/cost_model.hpp"
@@ -17,6 +16,12 @@ namespace {
 
 /// Candidate pairs the kCheapest strategy evaluates per merge.
 constexpr std::size_t kCheapestCandidates = 16;
+
+/// A control budget no isolation reaches (at most n - 1 controls).
+constexpr int kNoCap = std::numeric_limits<int>::max();
+
+/// What `isolate` returns once its control count is sure to reach the cap.
+constexpr int kStopped = -1;
 
 struct TermEntry {
   BasisIndex index;
@@ -47,29 +52,28 @@ class Engine {
     return QuantumState(n_, std::move(terms));
   }
 
-  /// One merge iteration: pick a pair/orientation/pivot, unify, isolate,
-  /// rotate.
+  /// One merge iteration: pick a pair and pivot, unify, isolate, rotate.
   void merge_step() {
     QSP_ASSERT(terms_.size() > 1);
+    build_columns();
     const MergePlan plan = select_plan();
-    BasisIndex x1 = plan.keep;
-    BasisIndex x2 = plan.drop;
+    const BasisIndex x1 = terms_[plan.keep].index;
+    const BasisIndex x2 = terms_[plan.drop].index;
+    std::vector<ControlLiteral> controls;
+    isolate(plan, kNoCap, &controls);
 
-    // Unify: make the pair differ in exactly one qubit (the pivot).
-    BasisIndex dif = flip_bit(x1 ^ x2, plan.pivot);
-    const bool pivot_positive = get_bit(x2, plan.pivot) == 1;
-    while (dif != 0) {
-      const int q = std::countr_zero(dif);
-      dif = flip_bit(dif, q);
-      apply_cnot(plan.pivot, pivot_positive, q);
-      x2 = flip_bit(x2, q);
+    // Unify: make the pair differ in exactly one qubit (the pivot) with
+    // CNOTs conditioned on x2's pivot bit, which x1 does not have.
+    const BasisIndex dif = flip_bit(x1 ^ x2, plan.pivot);
+    const int want = get_bit(x2, plan.pivot);
+    for (BasisIndex d = dif; d != 0; d &= d - 1) {
+      gates_.push_back(Gate::cnot(plan.pivot, std::countr_zero(d), want == 1));
     }
-    QSP_ASSERT((x1 ^ x2) == (BasisIndex{1} << plan.pivot));
-
-    // Isolate the pair from the rest of the support and merge.
-    const std::vector<ControlLiteral> controls =
-        greedy_controls(support_indices(), x1, plan.pivot);
-    apply_merge(x1, x2, plan.pivot, controls);
+    for (TermEntry& t : terms_) {
+      if (get_bit(t.index, plan.pivot) == want) t.index ^= dif;
+    }
+    sort_terms();
+    apply_merge(x1, plan.pivot, controls);
   }
 
   /// Map the final single index to |0...0> with free X gates.
@@ -86,6 +90,15 @@ class Engine {
   }
 
  private:
+  /// A merge of the terms at positions `keep` < `drop` of `terms_`: the
+  /// unifying CNOTs move drop onto keep ^ e_pivot, and a rotation on the
+  /// pivot merges the pair into keep.
+  struct MergePlan {
+    std::size_t keep = 0;
+    std::size_t drop = 0;
+    int pivot = 0;
+  };
+
   void sort_terms() {
     std::sort(terms_.begin(), terms_.end(),
               [](const TermEntry& a, const TermEntry& b) {
@@ -93,161 +106,139 @@ class Engine {
               });
   }
 
-  void apply_cnot(int control, bool positive, int target) {
-    const int want = positive ? 1 : 0;
-    for (TermEntry& t : terms_) {
-      if (get_bit(t.index, control) == want) {
-        t.index = flip_bit(t.index, target);
+  /// Position of index `x` in `terms_` at or after `from`, or the size.
+  std::size_t position_of(BasisIndex x, std::size_t from) const {
+    const auto it = std::lower_bound(
+        terms_.begin() + static_cast<std::ptrdiff_t>(from), terms_.end(), x,
+        [](const TermEntry& t, BasisIndex v) { return t.index < v; });
+    if (it != terms_.end() && it->index == x) {
+      return static_cast<std::size_t>(it - terms_.begin());
+    }
+    return terms_.size();
+  }
+
+  /// The support as bit columns: bit i of column q is bit q of term i.
+  void build_columns() {
+    words_ = (terms_.size() + 63) / 64;
+    columns_.assign(static_cast<std::size_t>(n_) * words_, 0);
+    for (std::size_t i = 0; i < terms_.size(); ++i) {
+      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+      for (BasisIndex x = terms_[i].index; x != 0; x &= x - 1) {
+        columns_[static_cast<std::size_t>(std::countr_zero(x)) * words_ +
+                 i / 64] |= bit;
       }
     }
-    sort_terms();
-    gates_.push_back(Gate::cnot(control, target, positive));
   }
 
-  double amplitude_of(BasisIndex x) const {
-    const auto it = std::lower_bound(
-        terms_.begin(), terms_.end(), x,
-        [](const TermEntry& t, BasisIndex v) { return t.index < v; });
-    if (it != terms_.end() && it->index == x) return it->amplitude;
-    return 0.0;
-  }
-
-  std::vector<BasisIndex> support_indices() const {
-    std::vector<BasisIndex> out;
-    out.reserve(terms_.size());
-    for (const TermEntry& t : terms_) out.push_back(t.index);
-    return out;
-  }
-
-  /// Greedy minimal control set distinguishing {x1, x1 ^ e_pivot} from the
-  /// rest of `support`.
-  std::vector<ControlLiteral> greedy_controls(
-      const std::vector<BasisIndex>& support, BasisIndex x1,
-      int pivot) const {
-    std::vector<BasisIndex> candidates;
-    const BasisIndex x2 = flip_bit(x1, pivot);
-    for (const BasisIndex y : support) {
-      if (y != x1 && y != x2) candidates.push_back(y);
+  /// Greedy minimal control set that isolates the plan's pair, once the
+  /// unifying CNOTs have run, from the rest of the support; each pick is
+  /// the qubit on which the most surviving terms differ from keep, the
+  /// lowest qubit on a tie. The CNOTs act on the columns: each column in
+  /// `dif` gets drop's side of the pivot XORed in. Returns the control
+  /// count, or kStopped once that count is sure to reach `cap`: no pick
+  /// eliminates more terms than the pick before it.
+  int isolate(const MergePlan& plan, int cap,
+              std::vector<ControlLiteral>* controls) {
+    const BasisIndex keep = terms_[plan.keep].index;
+    const BasisIndex drop = terms_[plan.drop].index;
+    const BasisIndex dif = flip_bit(keep ^ drop, plan.pivot);
+    const std::uint64_t* pivot_column =
+        &columns_[static_cast<std::size_t>(plan.pivot) * words_];
+    const std::uint64_t pivot_flip = get_bit(drop, plan.pivot) ? 0 : ~0ull;
+    survivors_.assign(words_, ~0ull);
+    if (terms_.size() % 64 != 0) {
+      survivors_.back() = (std::uint64_t{1} << (terms_.size() % 64)) - 1;
     }
-    std::vector<ControlLiteral> controls;
-    std::vector<bool> used(static_cast<std::size_t>(n_), false);
-    used[static_cast<std::size_t>(pivot)] = true;
-    while (!candidates.empty()) {
+    survivors_[plan.keep / 64] &= ~(std::uint64_t{1} << (plan.keep % 64));
+    survivors_[plan.drop / 64] &= ~(std::uint64_t{1} << (plan.drop % 64));
+    // Bit i of the result: does unified term i differ from keep on q?
+    const auto differs = [&](int q, std::size_t w) {
+      const std::uint64_t moved = get_bit(dif, q) ? ~0ull : 0;
+      const std::uint64_t keep_bit = get_bit(keep, q) ? ~0ull : 0;
+      return columns_[static_cast<std::size_t>(q) * words_ + w] ^
+             (moved & (pivot_column[w] ^ pivot_flip)) ^ keep_bit;
+    };
+
+    std::size_t remaining = terms_.size() - 2;
+    std::size_t elim_bound = remaining;
+    BasisIndex used = BasisIndex{1} << plan.pivot;
+    std::size_t count = 0;
+    while (remaining > 0) {
+      if (count + (remaining + elim_bound - 1) / elim_bound >=
+          static_cast<std::size_t>(cap)) {
+        return kStopped;
+      }
       int best_q = -1;
       std::size_t best_elim = 0;
       for (int q = 0; q < n_; ++q) {
-        if (used[static_cast<std::size_t>(q)]) continue;
+        if (get_bit(used, q) != 0) continue;
         std::size_t elim = 0;
-        for (const BasisIndex y : candidates) {
-          if (get_bit(y, q) != get_bit(x1, q)) ++elim;
+        for (std::size_t w = 0; w < words_; ++w) {
+          elim += static_cast<std::size_t>(
+              std::popcount(survivors_[w] & differs(q, w)));
         }
         if (elim > best_elim) {
           best_elim = elim;
           best_q = q;
         }
       }
-      // Progress is guaranteed: a candidate matching x1 on every qubit but
-      // the pivot would be x1 or x2, which are excluded.
+      // Progress is guaranteed: a survivor matching keep on every qubit
+      // but the pivot would be keep or unified drop, which are excluded.
       QSP_ASSERT(best_q >= 0);
-      used[static_cast<std::size_t>(best_q)] = true;
-      controls.push_back(
-          ControlLiteral{best_q, get_bit(x1, best_q) == 1});
-      std::erase_if(candidates, [&](BasisIndex y) {
-        return get_bit(y, best_q) != get_bit(x1, best_q);
-      });
+      used = flip_bit(used, best_q);
+      for (std::size_t w = 0; w < words_; ++w) {
+        survivors_[w] &= ~differs(best_q, w);
+      }
+      remaining -= best_elim;
+      elim_bound = best_elim;
+      ++count;
+      if (controls != nullptr) {
+        controls->push_back(ControlLiteral{best_q, get_bit(keep, best_q) == 1});
+      }
     }
-    return controls;
+    return static_cast<int>(count);
   }
 
-  /// Rotate the isolated pair so all mass lands on x1; removes x2.
-  void apply_merge(BasisIndex x1, BasisIndex x2, int pivot,
+  /// Rotate the isolated pair {x1, x1 ^ e_pivot} so all mass lands on
+  /// x1. The controls hold on no other term, so the rotation touches only
+  /// the pair, and the term left at (numerically) zero is removed.
+  void apply_merge(BasisIndex x1, int pivot,
                    const std::vector<ControlLiteral>& controls) {
-    const double a1 = amplitude_of(x1);
-    const double a2 = amplitude_of(x2);
-    QSP_ASSERT(std::abs(a2) > QuantumState::kAmplitudeEpsilon);
-    const bool x1_high = get_bit(x1, pivot) == 1;
-    const double u0 = x1_high ? a2 : a1;
-    const double u1 = x1_high ? a1 : a2;
+    const BasisIndex pbit = BasisIndex{1} << pivot;
+    const std::size_t lo = position_of(x1 & ~pbit, 0);
+    const std::size_t hi = position_of(x1 | pbit, 0);
+    QSP_ASSERT(lo < terms_.size() && hi < terms_.size());
+    const bool x1_high = (x1 & pbit) != 0;
+    const double u0 = terms_[lo].amplitude;
+    const double u1 = terms_[hi].amplitude;
+    QSP_ASSERT(std::abs(x1_high ? u0 : u1) > QuantumState::kAmplitudeEpsilon);
     // Ry(theta) sends (u0, u1) to (h, 0) or (0, h) with h > 0, landing the
     // merged amplitude on x1's side of the pivot.
     const double theta = x1_high ? 2.0 * std::atan2(u0, u1)
                                  : -2.0 * std::atan2(u1, u0);
     gates_.push_back(Gate::mcry(controls, pivot, theta));
 
-    // Apply the rotation to every control-satisfying pair (only x1/x2 by
-    // construction, but the general update keeps the engine robust).
     const double co = std::cos(theta / 2);
     const double si = std::sin(theta / 2);
-    const BasisIndex pbit = BasisIndex{1} << pivot;
-    std::vector<TermEntry> next;
-    next.reserve(terms_.size());
-    std::unordered_map<BasisIndex, std::pair<double, double>> pairs;
-    for (const TermEntry& t : terms_) {
-      bool satisfied = true;
-      for (const ControlLiteral& c : controls) {
-        if (get_bit(t.index, c.qubit) != (c.positive ? 1 : 0)) {
-          satisfied = false;
-          break;
-        }
-      }
-      if (!satisfied) {
-        next.push_back(t);
-        continue;
-      }
-      auto& [v0, v1] = pairs[t.index & ~pbit];
-      ((t.index & pbit) == 0 ? v0 : v1) = t.amplitude;
+    const double w0 = co * u0 - si * u1;
+    const double w1 = si * u0 + co * u1;
+    terms_[lo].amplitude = w0;
+    terms_[hi].amplitude = w1;
+    if (std::abs(w1) <= QuantumState::kAmplitudeEpsilon) {
+      terms_.erase(terms_.begin() + static_cast<std::ptrdiff_t>(hi));
     }
-    for (const auto& [rest, uv] : pairs) {
-      const double w0 = co * uv.first - si * uv.second;
-      const double w1 = si * uv.first + co * uv.second;
-      if (std::abs(w0) > QuantumState::kAmplitudeEpsilon) {
-        next.push_back(TermEntry{rest, w0});
-      }
-      if (std::abs(w1) > QuantumState::kAmplitudeEpsilon) {
-        next.push_back(TermEntry{rest | pbit, w1});
-      }
+    if (std::abs(w0) <= QuantumState::kAmplitudeEpsilon) {
+      terms_.erase(terms_.begin() + static_cast<std::ptrdiff_t>(lo));
     }
-    terms_ = std::move(next);
-    sort_terms();
   }
 
-  struct MergePlan {
-    BasisIndex keep = 0;
-    BasisIndex drop = 0;
-    int pivot = 0;
-    std::int64_t cost = 0;
-  };
-
-  /// Exact cost of executing a (keep, drop, pivot) plan: simulate the
-  /// unifying CNOTs on the support, then size the greedy control set.
-  std::int64_t plan_cost(BasisIndex keep, BasisIndex drop,
-                         int pivot) const {
-    std::vector<BasisIndex> support = support_indices();
-    BasisIndex dif = flip_bit(keep ^ drop, pivot);
-    const int want = get_bit(drop, pivot);
-    const int dist = popcount(dif);
-    while (dif != 0) {
-      const int q = std::countr_zero(dif);
-      dif = flip_bit(dif, q);
-      for (BasisIndex& y : support) {
-        if (get_bit(y, pivot) == want) y = flip_bit(y, q);
-      }
-    }
-    const auto controls = greedy_controls(support, keep, pivot);
-    return dist +
-           rotation_cost(static_cast<int>(controls.size()));
+  /// Keep i, drop j, pivot on their lowest differing qubit.
+  MergePlan default_plan(std::size_t i, std::size_t j) const {
+    return MergePlan{i, j,
+                     std::countr_zero(terms_[i].index ^ terms_[j].index)};
   }
 
-  MergePlan default_plan(BasisIndex a, BasisIndex b) const {
-    MergePlan plan;
-    plan.keep = std::min(a, b);
-    plan.drop = std::max(a, b);
-    plan.pivot = std::countr_zero(a ^ b);
-    plan.cost = -1;  // not evaluated
-    return plan;
-  }
-
-  MergePlan select_plan() const {
+  MergePlan select_plan() {
     if (options_.strategy == MFlowOptions::PairStrategy::kPrefixAdjacent) {
       // Deepest shared prefix == smallest XOR among sorted neighbours.
       BasisIndex best_xor = ~BasisIndex{0};
@@ -259,23 +250,20 @@ class Engine {
           best_i = i;
         }
       }
-      return default_plan(terms_[best_i].index, terms_[best_i + 1].index);
+      return default_plan(best_i, best_i + 1);
     }
 
-    // Collect minimum-Hamming-distance candidate pairs. Distance-1 pairs
-    // are found in O(m n) via a hash set; otherwise fall back to a scan.
-    std::vector<std::pair<BasisIndex, BasisIndex>> candidates;
-    std::unordered_map<BasisIndex, std::size_t> where;
-    where.reserve(terms_.size() * 2);
+    // Collect minimum-Hamming-distance candidate pairs, as positions in
+    // ascending index order. Distance-1 pairs are found by one binary
+    // search per unset bit; otherwise fall back to a scan.
+    std::vector<std::pair<std::size_t, std::size_t>>& candidates = pairs_;
+    candidates.clear();
     for (std::size_t i = 0; i < terms_.size(); ++i) {
-      where.emplace(terms_[i].index, i);
-    }
-    for (const TermEntry& t : terms_) {
+      const BasisIndex x = terms_[i].index;
       for (int q = 0; q < n_; ++q) {
-        const BasisIndex y = flip_bit(t.index, q);
-        if (y > t.index && where.count(y) != 0) {
-          candidates.emplace_back(t.index, y);
-        }
+        if (get_bit(x, q) != 0) continue;
+        const std::size_t j = position_of(flip_bit(x, q), i + 1);
+        if (j < terms_.size()) candidates.emplace_back(i, j);
       }
     }
     if (candidates.empty()) {
@@ -287,9 +275,7 @@ class Engine {
             best = d;
             candidates.clear();
           }
-          if (d == best) {
-            candidates.emplace_back(terms_[i].index, terms_[j].index);
-          }
+          if (d == best) candidates.emplace_back(i, j);
         }
       }
     }
@@ -300,42 +286,47 @@ class Engine {
     }
     // Cost-aware selection also considers pairs one above the minimum
     // distance: the extra unifying CNOT is sometimes far cheaper than a
-    // large distinguishing control set.
+    // large distinguishing control set. Only the first
+    // kCheapestCandidates pairs are costed, so the scan stops there.
     {
-      const int base = hamming(candidates.front().first,
-                               candidates.front().second);
-      const std::size_t cap = candidates.size() + 8;
+      const int base = hamming(terms_[candidates.front().first].index,
+                               terms_[candidates.front().second].index);
+      const std::size_t cap =
+          std::min(candidates.size() + 8, kCheapestCandidates);
       for (std::size_t i = 0; i < terms_.size() && candidates.size() < cap;
            ++i) {
         for (std::size_t j = i + 1;
              j < terms_.size() && candidates.size() < cap; ++j) {
           if (hamming(terms_[i].index, terms_[j].index) == base + 1) {
-            candidates.emplace_back(terms_[i].index, terms_[j].index);
+            candidates.emplace_back(i, j);
           }
         }
       }
     }
-    // kCheapest: evaluate a bounded number of candidate pairs over both
-    // merge orientations and every pivot choice.
+    // kCheapest: cost every pivot choice of a bounded number of candidate
+    // pairs a < b, keeping a. Keeping b instead on the same pivot unifies
+    // the support to this plan's unified support XOR dif, which leaves
+    // every elimination count and so the cost unchanged: as only a
+    // strictly cheaper plan replaces the best one, it could never win.
     const std::size_t limit =
         std::min(candidates.size(), kCheapestCandidates);
-    MergePlan best_plan = default_plan(candidates.front().first,
-                                       candidates.front().second);
+    MergePlan best_plan;
     std::int64_t best_cost = std::numeric_limits<std::int64_t>::max();
-    for (std::size_t i = 0; i < limit; ++i) {
-      const auto [a, b] = candidates[i];
-      for (const auto& [keep, drop] :
-           {std::pair{a, b}, std::pair{b, a}}) {
-        BasisIndex dif = keep ^ drop;
-        while (dif != 0) {
-          const int pivot = std::countr_zero(dif);
-          dif = flip_bit(dif, pivot);
-          const std::int64_t cost = plan_cost(keep, drop, pivot);
-          if (cost < best_cost) {
-            best_cost = cost;
-            best_plan = MergePlan{keep, drop, pivot, cost};
-          }
-        }
+    for (std::size_t c = 0; c < limit; ++c) {
+      const auto [i, j] = candidates[c];
+      const BasisIndex pair_dif = terms_[i].index ^ terms_[j].index;
+      const int dist = popcount(pair_dif) - 1;
+      for (BasisIndex d = pair_dif; d != 0; d &= d - 1) {
+        const MergePlan plan{i, j, std::countr_zero(d)};
+        // Only a strictly cheaper plan replaces the best one: `cap` is the
+        // fewest controls at which this plan no longer would.
+        int cap = 0;
+        while (cap < n_ && dist + rotation_cost(cap) < best_cost) ++cap;
+        if (cap == 0) continue;
+        const int controls = isolate(plan, cap, nullptr);
+        if (controls == kStopped) continue;
+        best_cost = dist + rotation_cost(controls);
+        best_plan = plan;
       }
     }
     return best_plan;
@@ -346,6 +337,11 @@ class Engine {
   Deadline deadline_;
   std::vector<TermEntry> terms_;
   std::vector<Gate> gates_;
+  // Per-merge scratch, reused across merges and plans.
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> columns_;
+  std::vector<std::uint64_t> survivors_;
+  std::vector<std::pair<std::size_t, std::size_t>> pairs_;
 };
 
 }  // namespace

@@ -6,6 +6,12 @@
 // and merges them with a (multi-)controlled Ry; the preparation circuit is
 // the adjoint of the recorded sequence. Handles arbitrary signed real
 // amplitudes.
+//
+// Each merge views the support as bit columns (bit i of column q is bit q
+// of the i-th index), on which a CNOT layer is a GF(2)-linear map: the
+// unifying CNOTs of a plan become masked column XORs and a candidate
+// control's elimination count a masked popcount, so no plan copies or
+// rewrites the support.
 
 #include <functional>
 
@@ -19,7 +25,11 @@ struct MFlowOptions {
     /// Gleinig-Hoefler greedy: a minimum-Hamming-distance pair.
     kGreedyFirst,
     /// Cost-aware: evaluate several minimum-distance candidates and pick
-    /// the cheapest merge (used by "ours" in the sparse workflow).
+    /// the cheapest merge (used by "ours" in the sparse workflow). Each
+    /// candidate pair is costed for every pivot in one orientation (keep
+    /// the lower index; keeping the higher costs the same), and a plan's
+    /// greedy stops once it cannot come in strictly below the cheapest
+    /// plan so far, so the choice is that of the full costing.
     kCheapest,
     /// Deepest-shared-prefix pair (decision-diagram order; used by the
     /// hybrid surrogate).

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "circuit/lowering.hpp"
 #include "sim/verifier.hpp"
 #include "state/state_factory.hpp"
@@ -135,6 +138,85 @@ TEST(MFlow, DenseStatesVerify) {
   const auto res = mflow_prepare(target);
   ASSERT_FALSE(res.timed_out);
   verify_preparation_or_throw(res.circuit, target);
+}
+
+/// FNV-1a over a gate list: kind, target, control literals and the bits
+/// of theta and of every multiplexor angle.
+std::uint64_t gate_digest(const std::vector<Gate>& gates, std::uint64_t h) {
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  const auto bits = [](double x) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+  };
+  for (const Gate& g : gates) {
+    mix(static_cast<std::uint64_t>(g.kind()));
+    mix(static_cast<std::uint64_t>(g.target()));
+    for (const ControlLiteral& c : g.controls()) {
+      mix(static_cast<std::uint64_t>(c.qubit) * 2 + (c.positive ? 1 : 0));
+    }
+    mix(bits(g.theta()));
+    for (const double a : g.angles()) mix(bits(a));
+  }
+  return h;
+}
+
+TEST(MFlow, OutputsUnchangedAfterBitColumns) {
+  // Frozen from the m-flow that costs each plan on a copy of the support
+  // index by index, over both merge orientations: the bit-column costing
+  // must pick the same (keep, drop, pivot) and controls on every merge.
+  // The corpus spans n = 4..24 and m = 2..300, so the support's bit
+  // columns take 1, 2 and 5 words; signed and unsigned amplitudes; GHZ,
+  // W and Dicke.
+  std::vector<QuantumState> corpus = {make_ghz(12), make_w(10), make_w(16),
+                                      make_dicke(6, 3), make_dicke(8, 2)};
+  Rng rng(2323);
+  const int shapes[][2] = {{4, 2},   {4, 5},    {4, 16},   {6, 12},
+                           {6, 40},  {8, 64},   {8, 65},   {10, 20},
+                           {10, 130}, {12, 100}, {14, 42}, {16, 300},
+                           {20, 80}, {22, 44},  {24, 300}};
+  for (const auto& [n, m] : shapes) {
+    corpus.push_back(make_random_uniform(n, m, rng));
+    corpus.push_back(make_random_real(n, m, rng));
+    corpus.push_back(make_random_real(n, m, rng, false));
+  }
+  using Strategy = MFlowOptions::PairStrategy;
+  struct Pin {
+    Strategy strategy;
+    bool reduce;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {Strategy::kGreedyFirst, false, 14954871329484348486ull},
+      {Strategy::kCheapest, false, 13417445587088670827ull},
+      {Strategy::kPrefixAdjacent, false, 12589630488065472562ull},
+      {Strategy::kCheapest, true, 16164371140289324447ull}};
+  for (const Pin& pin : pins) {
+    MFlowOptions options;
+    options.strategy = pin.strategy;
+    std::uint64_t h = 1469598103934665603ull;
+    for (const QuantumState& target : corpus) {
+      if (pin.reduce) {
+        const MFlowReduction reduction = mflow_reduce(
+            target,
+            [](const QuantumState& s) { return s.cardinality() <= 16; },
+            options);
+        ASSERT_FALSE(reduction.timed_out);
+        h = gate_digest(reduction.forward_gates, h);
+      } else {
+        const MFlowResult res = mflow_prepare(target, options);
+        ASSERT_FALSE(res.timed_out);
+        h = gate_digest(res.circuit.gates(), h);
+      }
+    }
+    EXPECT_EQ(h, pin.digest) << "strategy " << static_cast<int>(pin.strategy)
+                             << (pin.reduce ? " (reduce)" : "");
+  }
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "state/state_factory.hpp"
 #include "util/rng.hpp"
@@ -134,6 +136,85 @@ TEST(SlotState, RandomUniformRoundTrip) {
     EXPECT_TRUE(slot->to_state().approx_equal(s));
     EXPECT_EQ(slot->total(), static_cast<std::uint64_t>(m));
   }
+}
+
+/// The decomposition rule tried on every total from the cardinality up to
+/// `max_total`: the reference that SlotState::from_state must match.
+std::optional<SlotState> from_state_linear_scan(const QuantumState& state,
+                                                std::uint32_t max_total) {
+  for (const Term& t : state.terms()) {
+    if (t.amplitude < 0) return std::nullopt;
+  }
+  std::vector<SlotEntry> entries;
+  for (std::uint64_t m = static_cast<std::uint64_t>(state.cardinality());
+       m <= max_total; ++m) {
+    entries.clear();
+    bool ok = true;
+    std::uint64_t used = 0;
+    for (const Term& t : state.terms()) {
+      const double exact = t.amplitude * t.amplitude * static_cast<double>(m);
+      const auto count = static_cast<std::uint64_t>(std::llround(exact));
+      if (count < 1 || std::abs(exact - static_cast<double>(count)) > 1e-6) {
+        ok = false;
+        break;
+      }
+      used += count;
+      entries.push_back(SlotEntry{t.index, static_cast<std::uint32_t>(count)});
+    }
+    if (ok && used == m) return SlotState(state.num_qubits(), entries);
+  }
+  return std::nullopt;
+}
+
+TEST(SlotState, FromStateMatchesLinearScan) {
+  // Rational states with totals up to 2^20, the same nudged off their
+  // lattice by up to the 1e-6 tolerance, irrational states and the
+  // symmetric families, each under three slot budgets.
+  Rng rng(2302);
+  std::vector<QuantumState> corpus = {make_dicke(6, 3), make_dicke(8, 2),
+                                      make_w(7),        make_ghz(5),
+                                      make_random_uniform(9, 24, rng)};
+  for (int trial = 0; trial < 100; ++trial) {
+    const int n = 4 + static_cast<int>(rng.next_below(7));
+    const int m = 1 + static_cast<int>(rng.next_below(12));
+    const int scale = 4 + 4 * static_cast<int>(rng.next_below(5));
+    const auto terms_m = static_cast<std::uint64_t>(m);
+    const std::uint64_t total =
+        terms_m + rng.next_below((std::uint64_t{1} << scale) - terms_m + 1);
+    std::vector<std::uint64_t> counts(terms_m, 1);
+    for (std::uint64_t left = total - terms_m; left > 0;) {
+      const std::uint64_t share = 1 + rng.next_below(left);
+      counts[rng.next_below(counts.size())] += share;
+      left -= share;
+    }
+    const std::vector<std::uint64_t> indices =
+        rng.sample_distinct(std::uint64_t{1} << n, counts.size());
+    const double nudge =
+        trial % 3 == 0 ? 0.0
+                       : std::pow(10.0, -6.0 - rng.next_double(0.0, 4.0));
+    std::vector<Term> terms;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      const double a = std::sqrt(static_cast<double>(counts[i]) /
+                                 static_cast<double>(total));
+      terms.push_back(Term{static_cast<BasisIndex>(indices[i]),
+                           a * (1.0 + (i == 0 ? nudge : 0.0))});
+    }
+    corpus.emplace_back(n, std::move(terms));
+    corpus.push_back(make_random_real(n, m, rng, false));
+  }
+  int decomposable = 0;
+  for (const QuantumState& state : corpus) {
+    for (const std::uint32_t max_total : {255u, 1u << 12, 1u << 20}) {
+      const auto expected = from_state_linear_scan(state, max_total);
+      const auto actual = SlotState::from_state(state, max_total);
+      ASSERT_EQ(actual.has_value(), expected.has_value())
+          << state.to_string() << " max_total " << max_total;
+      if (!expected.has_value()) continue;
+      ++decomposable;
+      EXPECT_EQ(*actual, *expected) << state.to_string();
+    }
+  }
+  EXPECT_GT(decomposable, 100);
 }
 
 }  // namespace
